@@ -58,7 +58,7 @@ int main() {
   pc.max_rate_bps = 150e6;
   pc.resolution_bps = 4e6;
   est::Pathload pl(pc);
-  auto e = pl.estimate(sc.session());
+  auto e = pl.estimate(sc.transport());
   if (e.valid) {
     std::printf("Pathload (probing the replayed trace): [%s, %s]\n",
                 core::mbps(e.low_bps).c_str(), core::mbps(e.high_bps).c_str());

@@ -1,19 +1,12 @@
 // Intra-simulation parallelism micro-benchmarks: domain-count scaling of
-// the conservative parallel DES engine (sim/domain.hpp) and the
-// vectorized-vs-scalar FluidQueue bulk-absorb kernel (sim/fluid.cpp).
+// the conservative parallel DES engine (sim/domain.hpp).  The SIMD fluid
+// absorb kernel is benchmarked in micro_sim (BENCH_fluid.json).
 //
 // Writes BENCH_pdes.json (google-benchmark JSON shape so
 // bench/check_regression.py gates it unchanged against
 // bench/BENCH_pdes.baseline.json via the `pdes_check` / `bench_check`
 // targets).  Rows:
 //
-//   PDES_absorb_scalar / PDES_absorb_simd
-//       items_per_second = fluid arrivals retired per wall second with
-//       the bulk path off / on.
-//   PDES_simd_speedup
-//       items_per_second = scalar_s / simd_s — the SIMD win itself, so a
-//       vectorization regression fails the gate even if absolute
-//       throughput drifts with the machine.
 //   PDES_domains_<N>t
 //       items_per_second = simulated seconds per wall second of the
 //       partitioned fig4-style scenario run with N worker threads.
@@ -30,87 +23,21 @@
 //       domain construction fails the gate before anyone runs a long
 //       scenario on a wide topology.
 //
-// Every row is min-of-3 wall time (same noise remedy as micro_sim's
+// Every row is min-of-reps wall time (same noise remedy as micro_sim's
 // fluid comparison); the scenario physics are deterministic across
 // repetitions, which the scaling rows double-check by digesting handoff
 // counts.
 #include <cstdint>
 #include <cstdio>
-#include <random>
 #include <vector>
 
 #include "core/parallel_scenario.hpp"
 #include "runner/bench_report.hpp"
-#include "sim/fluid.hpp"
-#include "sim/link.hpp"
-#include "sim/path.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
 
 using namespace abw;
-
-// ---------------------------------------------------------------------------
-// SIMD-vs-scalar bulk absorb
-
-struct AbsorbRun {
-  double seconds = 0.0;
-  std::uint64_t packets = 0;
-  std::uint64_t check = 0;  // bytes_out: must match across variants
-};
-
-// One long Poisson arrival schedule at high load (long busy runs, so the
-// run-retirement path owns most of the work) with the trimodal internet
-// size mix, absorbed in pump-sized chunks.  The mixed sizes matter: they
-// are what real generator workloads feed absorb, and they are the case
-// where per-packet serialization-time lookups cost the scalar path the
-// most.
-AbsorbRun run_absorb(bool vectorized) {
-  constexpr std::size_t kChunk = 1024;
-  constexpr int kChunks = 400;
-
-  sim::Simulator simu;
-  sim::LinkConfig lc;
-  lc.capacity_bps = 50e6;
-  lc.propagation_delay = sim::kMillisecond;
-  lc.queue_limit_bytes = 2 << 20;
-  sim::Path path(simu, {lc});
-  sim::CountingSink sink;
-  path.set_receiver(&sink);
-  sim::FluidQueue& fq = path.link(0).enable_fluid();
-  fq.set_vectorized(vectorized);
-  fq.reset(0);
-
-  std::mt19937 rng(99);
-  std::exponential_distribution<double> gap(1.0);
-  const std::uint32_t size_mix[4] = {40, 576, 1500, 1004};
-  const double mean_size = (40 + 576 + 1500 + 1004) / 4.0;
-  const double mean_gap_s = mean_size * 8.0 / (50e6 * 0.9);  // 90% load
-
-  // The whole schedule is drawn up front so the timed region is absorb
-  // alone, not the generator's RNG draws.
-  std::vector<sim::SimTime> times(kChunks * kChunk);
-  std::vector<std::uint32_t> sizes(kChunks * kChunk);
-  sim::SimTime t = 0;
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    t += sim::from_seconds(gap(rng) * mean_gap_s);
-    times[i] = t;
-    sizes[i] = size_mix[rng() % 4];
-  }
-
-  AbsorbRun r;
-  const double t0 = runner::monotonic_seconds();
-  for (int c = 0; c < kChunks; ++c) {
-    const sim::SimTime* ct = times.data() + c * kChunk;
-    const std::uint32_t* cs = sizes.data() + c * kChunk;
-    fq.absorb(ct, cs, kChunk, ct[kChunk - 1]);
-    r.packets += kChunk;
-  }
-  fq.advance(t + sim::kSecond);
-  r.seconds = runner::monotonic_seconds() - t0;
-  r.check = path.link(0).stats().bytes_out;
-  return r;
-}
 
 // ---------------------------------------------------------------------------
 // Domain-count scaling
@@ -211,16 +138,6 @@ struct Row {
 }  // namespace
 
 int main() {
-  AbsorbRun scalar = min_of_reps([] { return run_absorb(false); },
-                                 run_absorb(false));
-  AbsorbRun simd = min_of_reps([] { return run_absorb(true); },
-                               run_absorb(true));
-  if (scalar.check != simd.check)
-    std::fprintf(stderr, "micro_pdes: WARNING: SIMD absorb diverged from "
-                         "scalar (bytes_out %llu vs %llu)\n",
-                 static_cast<unsigned long long>(simd.check),
-                 static_cast<unsigned long long>(scalar.check));
-
   const std::size_t thread_counts[] = {1, 2, 4};
   ScaleRun scale[3];
   for (int i = 0; i < 3; ++i) {
@@ -238,10 +155,6 @@ int main() {
   ScaleRun wide = min_of_reps([] { return run_1k(); }, run_1k(), 3);
 
   const Row rows[] = {
-      {"PDES_absorb_scalar", scalar.packets / scalar.seconds, scalar.seconds},
-      {"PDES_absorb_simd", simd.packets / simd.seconds, simd.seconds},
-      {"PDES_simd_speedup", scalar.seconds / simd.seconds,
-       simd.seconds},
       {"PDES_domains_1t", scale[0].sim_seconds / scale[0].seconds,
        scale[0].seconds},
       {"PDES_domains_2t", scale[1].sim_seconds / scale[1].seconds,

@@ -19,15 +19,27 @@
 // introspection the seed does not have — which is how the committed
 // baseline's `seed` numbers were produced.
 // In addition to the google-benchmark suite, main() runs the fig1/fig3
-// hybrid-vs-packet comparison workloads and writes BENCH_fluid.json
-// (same JSON shape, items_per_second = wall-clock speedup), gated by
-// bench/BENCH_fluid.baseline.json through the same check_regression.py.
+// hybrid-vs-packet comparison workloads and the SIMD-vs-scalar FluidQueue
+// bulk-absorb kernel, and writes BENCH_fluid.json (same JSON shape),
+// gated by bench/BENCH_fluid.baseline.json through the same
+// check_regression.py.  Rows:
+//
+//   FLUID_fig1_ground_truth / FLUID_fig3_response_curve
+//       items_per_second = packet_s / hybrid_s (wall-clock speedup).
+//   FLUID_absorb_scalar / FLUID_absorb_simd
+//       items_per_second = fluid arrivals retired per wall second with
+//       the bulk path off / on.
+//   FLUID_simd_speedup
+//       items_per_second = scalar_s / simd_s — the SIMD win itself, so a
+//       vectorization regression fails the gate even if absolute
+//       throughput drifts with the machine.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -35,6 +47,7 @@
 #include "core/scenario.hpp"
 #include "probe/stream_spec.hpp"
 #include "runner/bench_report.hpp"
+#include "sim/fluid.hpp"
 #include "sim/hybrid.hpp"
 #include "sim/link.hpp"
 #include "sim/path.hpp"
@@ -301,51 +314,135 @@ FluidRun run_fig3_workload(sim::SimMode mode) {
   return r;
 }
 
-// Min-of-N wall time: each workload x mode runs kReps times and the
+// Min-of-N wall time: each workload x mode runs `reps` times and the
 // fastest run is reported, the standard remedy for the +-30% scheduler
-// noise of a small shared VM.  Both modes get the identical treatment, so
-// the reported speedup is a noise-floor ratio, not a lucky draw.  The
-// avail-bw values are deterministic across repetitions (asserted).
-template <typename Fn>
-FluidRun min_of_reps(Fn&& run) {
-  constexpr int kReps = 3;
-  FluidRun best = run();
-  for (int i = 1; i < kReps; ++i) {
-    FluidRun r = run();
-    if (r.abw != best.abw)
-      std::fprintf(stderr, "micro_sim: WARNING: nondeterministic avail-bw "
+// noise of a small shared VM.  Both variants of a comparison get the
+// identical treatment, so the reported speedup is a noise-floor ratio,
+// not a lucky draw.  The result member `key` (avail-bw, retired bytes) is
+// deterministic across repetitions (asserted).
+template <typename Key, typename Fn>
+auto min_of_reps(Key key, Fn&& run, int reps = 3) {
+  auto best = run();
+  for (int i = 1; i < reps; ++i) {
+    auto r = run();
+    if (r.*key != best.*key)
+      std::fprintf(stderr, "micro_sim: WARNING: nondeterministic result "
                            "across repetitions (%.1f vs %.1f)\n",
-                   r.abw, best.abw);
+                   static_cast<double>(r.*key), static_cast<double>(best.*key));
     if (r.seconds < best.seconds) best = r;
   }
   return best;
 }
 
-// Runs both workloads in both modes and writes BENCH_fluid.json
-// (google-benchmark JSON shape; items_per_second carries the speedup so
-// check_regression.py gates it unchanged).
+// ------------------------------------------- SIMD-vs-scalar bulk absorb ---
+
+struct AbsorbRun {
+  double seconds = 0.0;
+  std::uint64_t packets = 0;
+  std::uint64_t check = 0;  // bytes_out: must match across variants
+};
+
+// One long Poisson arrival schedule at high load (long busy runs, so the
+// run-retirement path owns most of the work) with the trimodal internet
+// size mix, absorbed in pump-sized chunks.  The mixed sizes matter: they
+// are what real generator workloads feed absorb, and they are the case
+// where per-packet serialization-time lookups cost the scalar path the
+// most.
+AbsorbRun run_absorb(bool vectorized) {
+  constexpr std::size_t kChunk = 1024;
+  constexpr int kChunks = 400;
+
+  sim::Simulator simu;
+  sim::LinkConfig lc;
+  lc.capacity_bps = 50e6;
+  lc.propagation_delay = sim::kMillisecond;
+  lc.queue_limit_bytes = 2 << 20;
+  sim::Path path(simu, {lc});
+  sim::CountingSink sink;
+  path.set_receiver(&sink);
+  sim::FluidQueue& fq = path.link(0).enable_fluid();
+  fq.set_vectorized(vectorized);
+  fq.reset(0);
+
+  std::mt19937 rng(99);
+  std::exponential_distribution<double> gap(1.0);
+  const std::uint32_t size_mix[4] = {40, 576, 1500, 1004};
+  const double mean_size = (40 + 576 + 1500 + 1004) / 4.0;
+  const double mean_gap_s = mean_size * 8.0 / (50e6 * 0.9);  // 90% load
+
+  // The whole schedule is drawn up front so the timed region is absorb
+  // alone, not the generator's RNG draws.
+  std::vector<sim::SimTime> times(kChunks * kChunk);
+  std::vector<std::uint32_t> sizes(kChunks * kChunk);
+  sim::SimTime t = 0;
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    t += sim::from_seconds(gap(rng) * mean_gap_s);
+    times[i] = t;
+    sizes[i] = size_mix[rng() % 4];
+  }
+
+  AbsorbRun r;
+  const double t0 = runner::monotonic_seconds();
+  for (int c = 0; c < kChunks; ++c) {
+    const sim::SimTime* ct = times.data() + c * kChunk;
+    const std::uint32_t* cs = sizes.data() + c * kChunk;
+    fq.absorb(ct, cs, kChunk, ct[kChunk - 1]);
+    r.packets += kChunk;
+  }
+  fq.advance(t + sim::kSecond);
+  r.seconds = runner::monotonic_seconds() - t0;
+  r.check = path.link(0).stats().bytes_out;
+  return r;
+}
+
+// Runs both workloads in both modes plus the absorb kernel both ways and
+// writes BENCH_fluid.json (google-benchmark JSON shape; items_per_second
+// carries the gated value so check_regression.py reads it unchanged).
 void run_fluid_comparison() {
   struct Row {
     const char* name;
     FluidRun packet, hybrid;
   };
   const auto trace = make_fig1_trace();
+  constexpr auto kAbw = &FluidRun::abw;
   Row rows[] = {
       {"FLUID_fig1_ground_truth",
-       min_of_reps([&] { return run_fig1_workload(sim::SimMode::kPacket, trace); }),
-       min_of_reps([&] { return run_fig1_workload(sim::SimMode::kHybrid, trace); })},
+       min_of_reps(kAbw, [&] { return run_fig1_workload(sim::SimMode::kPacket, trace); }),
+       min_of_reps(kAbw, [&] { return run_fig1_workload(sim::SimMode::kHybrid, trace); })},
       {"FLUID_fig3_response_curve",
-       min_of_reps([] { return run_fig3_workload(sim::SimMode::kPacket); }),
-       min_of_reps([] { return run_fig3_workload(sim::SimMode::kHybrid); })},
+       min_of_reps(kAbw, [] { return run_fig3_workload(sim::SimMode::kPacket); }),
+       min_of_reps(kAbw, [] { return run_fig3_workload(sim::SimMode::kHybrid); })},
   };
+  const AbsorbRun scalar =
+      min_of_reps(&AbsorbRun::check, [] { return run_absorb(false); }, 5);
+  const AbsorbRun simd =
+      min_of_reps(&AbsorbRun::check, [] { return run_absorb(true); }, 5);
+  if (scalar.check != simd.check)
+    std::fprintf(stderr, "micro_sim: WARNING: SIMD absorb diverged from "
+                         "scalar (bytes_out %llu vs %llu)\n",
+                 static_cast<unsigned long long>(simd.check),
+                 static_cast<unsigned long long>(scalar.check));
+  struct AbsorbRow {
+    const char* name;
+    double items_per_second;
+    double real_s;
+  };
+  const AbsorbRow absorb_rows[] = {
+      {"FLUID_absorb_scalar", scalar.packets / scalar.seconds, scalar.seconds},
+      {"FLUID_absorb_simd", simd.packets / simd.seconds, simd.seconds},
+      {"FLUID_simd_speedup", scalar.seconds / simd.seconds, simd.seconds},
+  };
+
   std::FILE* f = std::fopen("BENCH_fluid.json", "w");
   if (f == nullptr) {
     std::fprintf(stderr, "micro_sim: cannot write BENCH_fluid.json\n");
     return;
   }
   std::fprintf(f, "{\n  \"context\": {\"note\": "
-                  "\"items_per_second = packet_s / hybrid_s (wall-clock "
-                  "speedup); abw_rel_err = |hybrid - packet| / packet\"},\n"
+                  "\"FLUID_fig*: items_per_second = packet_s / hybrid_s "
+                  "(wall-clock speedup), abw_rel_err = |hybrid - packet| / "
+                  "packet; FLUID_absorb_*: arrivals retired per second; "
+                  "FLUID_simd_speedup: scalar_s / simd_s\"},\n"
                   "  \"benchmarks\": [\n");
   for (std::size_t i = 0; i < 2; ++i) {
     const Row& row = rows[i];
@@ -359,10 +456,10 @@ void run_fluid_comparison() {
         "\"time_unit\": \"ns\", \"items_per_second\": %.4f, "
         "\"packet_s\": %.6f, \"hybrid_s\": %.6f, "
         "\"abw_packet_bps\": %.1f, \"abw_hybrid_bps\": %.1f, "
-        "\"abw_rel_err\": %.6f}%s\n",
+        "\"abw_rel_err\": %.6f},\n",
         row.name, row.hybrid.seconds * 1e9, row.hybrid.seconds * 1e9,
         speedup, row.packet.seconds, row.hybrid.seconds, row.packet.abw,
-        row.hybrid.abw, rel_err, i + 1 < 2 ? "," : "");
+        row.hybrid.abw, rel_err);
     std::printf("%-28s packet %8.3f s  hybrid %8.3f s  speedup %6.2fx  "
                 "abw err %.4f%%\n",
                 row.name, row.packet.seconds, row.hybrid.seconds, speedup,
@@ -373,6 +470,19 @@ void run_fluid_comparison() {
     if (rel_err > 0.05)
       std::fprintf(stderr, "micro_sim: WARNING: %s avail-bw diverges %.2f%% "
                            "from packet mode\n", row.name, rel_err * 100.0);
+  }
+  constexpr std::size_t kAbsorbRows = sizeof(absorb_rows) / sizeof(absorb_rows[0]);
+  for (std::size_t i = 0; i < kAbsorbRows; ++i) {
+    const AbsorbRow& row = absorb_rows[i];
+    std::fprintf(
+        f,
+        "    {\"name\": \"%s\", \"run_type\": \"iteration\", "
+        "\"iterations\": 1, \"real_time\": %.6e, \"cpu_time\": %.6e, "
+        "\"time_unit\": \"ns\", \"items_per_second\": %.6f}%s\n",
+        row.name, row.real_s * 1e9, row.real_s * 1e9, row.items_per_second,
+        i + 1 < kAbsorbRows ? "," : "");
+    std::printf("%-28s %14.3f items/s  (%.4f s)\n", row.name,
+                row.items_per_second, row.real_s);
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

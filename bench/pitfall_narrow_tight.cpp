@@ -39,7 +39,7 @@ int main() {
   est::CapacityConfig cc;
   cc.pair_count = 200;
   est::CapacityEstimator cap(cc, sc.rng().fork());
-  double cn = cap.estimate_capacity(sc.session());
+  double cn = cap.estimate_capacity(sc.transport());
   std::printf("packet-pair capacity estimate: %s  (narrow link is 40, tight "
               "link is 100)\n\n",
               core::mbps(cn).c_str());
@@ -52,7 +52,7 @@ int main() {
     dc.input_rate_bps = 32e6;  // above true A=20, below narrow capacity
     dc.stream_count = 40;
     est::DirectProber p(dc);
-    auto e = p.estimate(sc.session());
+    auto e = p.estimate(sc.transport());
     return e.valid ? e.point_bps() : -1.0;
   };
   auto spruce_with = [&](double ct) {
@@ -60,7 +60,7 @@ int main() {
     spc.tight_capacity_bps = ct;
     spc.pair_count = 200;
     est::Spruce sp(spc, sc.rng().fork());
-    auto e = sp.estimate(sc.session());
+    auto e = sp.estimate(sc.transport());
     return e.valid ? e.point_bps() : -1.0;
   };
 

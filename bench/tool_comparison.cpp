@@ -64,7 +64,7 @@ std::vector<ToolRun> run_one_seed(core::CrossModel model, std::size_t seed) {
     r.cls = tool->probing_class() == est::ProbingClass::kDirect ? "direct"
                                                                 : "iterative";
     auto before = sc.session().cost();
-    est::Estimate e = tool->estimate(sc.session());
+    est::Estimate e = tool->estimate(sc.transport());
     auto after = sc.session().cost();
     r.valid = e.valid;
     if (e.valid) {

@@ -43,7 +43,7 @@ int main() {
   bc.max_rate_bps = 60e6;
   bc.step_duration = 300 * sim::kMillisecond;
   est::Bfind bfind(bc);
-  auto bf = bfind.estimate(sc.session());
+  auto bf = bfind.estimate(sc.transport());
   if (bf.valid) {
     std::printf("\nBFind: first persistent queue growth at hop %u, rate %s\n",
                 bfind.flagged_hop(), core::mbps(bf.point_bps()).c_str());
@@ -57,7 +57,7 @@ int main() {
   pc.min_rate_bps = 2e6;
   pc.max_rate_bps = 49e6;
   est::Pathload pl(pc);
-  auto e = pl.estimate(sc.session());
+  auto e = pl.estimate(sc.transport());
   if (e.valid) {
     std::printf("Pathload end-to-end: [%s, %s] vs per-link truth 25 Mbps\n",
                 core::mbps(e.low_bps).c_str(), core::mbps(e.high_bps).c_str());

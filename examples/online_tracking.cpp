@@ -174,7 +174,7 @@ TrackStats run_tcp(bool bursty) {
 TrackStats run_adaptive(bool bursty) {
   core::Scenario sc = make_scenario(bursty);
   online::AdaptiveProber prober;
-  auto rows = track(sc, prober, [&] { prober.step(sc.session()); });
+  auto rows = track(sc, prober, [&] { prober.step(sc.transport()); });
   return summarize(rows, prober, prober.tracker().change_points());
 }
 

@@ -33,7 +33,7 @@ int main() {
   pl_cfg.min_rate_bps = 2e6;
   pl_cfg.max_rate_bps = 49e6;
   est::Pathload pathload(pl_cfg);
-  est::Estimate e = pathload.estimate(scenario.session());
+  est::Estimate e = pathload.estimate(scenario.transport());
 
   if (!e.valid) {
     std::printf("estimation failed: %s\n", e.detail.c_str());

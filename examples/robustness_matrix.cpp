@@ -111,7 +111,7 @@ Cell run_cell(const core::ToolInfo& tool, const Impairment& imp,
 
   auto est = core::make_estimator(tool.name, opt, sc.rng());
   sim::SimTime t1 = sc.simulator().now();
-  est::Estimate e = est->estimate(sc.session());
+  est::Estimate e = est->estimate(sc.transport());
   sim::SimTime t2 = sc.simulator().now();
 
   Cell c;

@@ -47,7 +47,7 @@ void run_on(core::CrossModel model, std::uint64_t seed) {
   core::Table table({"tool", "class", "estimate", "error", "packets", "latency"});
   for (auto& tool : make_tools(cfg.capacity_bps, sc.rng())) {
     auto before = sc.session().cost();
-    est::Estimate e = tool->estimate(sc.session());
+    est::Estimate e = tool->estimate(sc.transport());
     auto after = sc.session().cost();
     std::uint64_t pkts = after.packets - before.packets;
     double latency = sim::to_seconds(after.last_activity) -

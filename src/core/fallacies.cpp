@@ -156,7 +156,7 @@ FallacyResult f5(std::uint64_t seed) {
 
   est::CapacityConfig cc;
   est::CapacityEstimator cap(cc, s.rng().fork());
-  double cn = cap.estimate_capacity(s.session());
+  double cn = cap.estimate_capacity(s.transport());
 
   auto direct_with = [&](double ct) {
     est::DirectConfig dc;
@@ -164,7 +164,7 @@ FallacyResult f5(std::uint64_t seed) {
     dc.input_rate_bps = 30e6;  // above the true A = 20 Mb/s
     dc.stream_count = 30;
     est::DirectProber p(dc);
-    est::Estimate e = p.estimate(s.session());
+    est::Estimate e = p.estimate(s.transport());
     return e.valid ? e.point_bps() : -1.0;
   };
   double a_wrong = direct_with(cn);     // capacity-tool value (narrow link)
@@ -272,7 +272,7 @@ FallacyResult f9(std::uint64_t seed) {
   pc.max_rate_bps = 50e6;
   pc.streams_per_fleet = 6;
   est::Pathload pl(pc);
-  est::Estimate e = pl.estimate(s.session());
+  est::Estimate e = pl.estimate(s.transport());
 
   double width = e.high_bps - e.low_bps;
   return {9, MisconceptionKind::kFallacy, fallacy_title(9),

@@ -29,7 +29,7 @@ AvailBwMonitor::AvailBwMonitor(Scenario& scenario, const MonitorConfig& cfg)
 }
 
 void AvailBwMonitor::bootstrap() {
-  est::Estimate e = pathload_.estimate(scenario_.session());
+  est::Estimate e = pathload_.estimate(scenario_.transport());
   estimate_ = e.valid ? e.point_bps()
                       : 0.5 * (cfg_.min_rate_bps + cfg_.max_rate_bps);
 }

@@ -30,12 +30,6 @@ class CapacityEstimator {
   /// if no pair survived.
   double estimate_capacity(probe::Transport& transport);
 
-  /// Deprecated: wraps `session` in a SimTransport.
-  double estimate_capacity(probe::ProbeSession& session) {
-    probe::SimTransport transport(session);
-    return estimate_capacity(transport);
-  }
-
   /// Per-pair raw estimates from the last run.
   const std::vector<double>& last_samples() const { return samples_; }
 

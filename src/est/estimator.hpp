@@ -4,7 +4,7 @@
 // probing* (each stream yields an avail-bw sample via Eq. 9, requires the
 // tight-link capacity Ct) and *iterative probing* (each stream only
 // answers "is Ri above A?", Eq. 10).  Every class in this directory
-// implements one published technique against the common ProbeSession
+// implements one published technique against the common probe::Transport
 // substrate, so they can be compared "under reproducible and controllable
 // conditions, and with the same configuration parameters" — the paper's
 // closing recommendation.
@@ -147,15 +147,6 @@ class Estimator {
   /// advancing the transport's clock as real tools consume wall-clock
   /// time, and returns its estimate.
   Estimate estimate(probe::Transport& transport);
-
-  /// Deprecated convenience: runs over a simulated session by wrapping it
-  /// in a SimTransport — bit-identical to the transport overload.  Kept
-  /// so pre-transport callers compile unchanged; prefer
-  /// estimate(Transport&).
-  Estimate estimate(probe::ProbeSession& session) {
-    probe::SimTransport transport(session);
-    return estimate(transport);
-  }
 
   /// Tool name, e.g. "pathload".
   virtual std::string_view name() const = 0;

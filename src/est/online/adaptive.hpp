@@ -62,12 +62,6 @@ class AdaptiveProber final : public OnlineEstimator {
   /// stream would exceed the probe budget or the deadline has passed.
   FeedResult step(probe::Transport& transport);
 
-  /// Deprecated: wraps `session` in a SimTransport.
-  FeedResult step(probe::ProbeSession& session) {
-    probe::SimTransport transport(session);
-    return step(transport);
-  }
-
   /// The inner Kalman tracker (for introspection/tests).
   const KalmanTracker& tracker() const { return kalman_; }
 

@@ -57,7 +57,7 @@ void append_bench_batch(const BatchTiming& t, const std::string& path) {
 void print_batch_timing(const BatchTiming& t) {
   std::printf("[batch] %s: %zu tasks, serial %.2f s, parallel(%zu) %.2f s, "
               "speedup %.2fx  -> BENCH_batch.json\n",
-              t.bench.c_str(), t.tasks, t.jobs, t.serial_s, t.parallel_s,
+              t.bench.c_str(), t.tasks, t.serial_s, t.jobs, t.parallel_s,
               t.speedup());
 }
 

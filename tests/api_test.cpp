@@ -142,7 +142,7 @@ TEST(Api, RegistryHonorsRepetitionKnob) {
   auto sc = core::Scenario::single_hop(cfg);
   auto spruce = core::make_estimator("spruce", opts, rng);
   auto before = sc.session().cost().packets;
-  auto e = spruce->estimate(sc.session());
+  auto e = spruce->estimate(sc.transport());
   ASSERT_TRUE(e.valid);
   EXPECT_EQ(sc.session().cost().packets - before, 14u);  // 7 pairs
 }
@@ -160,7 +160,7 @@ TEST(Api, RegistryPacketSizeKnob) {
   auto direct = core::make_estimator("direct", opts, rng);
   auto before = sc.session().cost().bytes;
   auto pkts_before = sc.session().cost().packets;
-  (void)direct->estimate(sc.session());
+  (void)direct->estimate(sc.transport());
   auto bytes = sc.session().cost().bytes - before;
   auto pkts = sc.session().cost().packets - pkts_before;
   EXPECT_EQ(bytes, pkts * 700u);

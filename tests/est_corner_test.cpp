@@ -29,7 +29,7 @@ TEST(Corner, PathloadBracketEntirelyBelowAvailBw) {
   pc.min_rate_bps = 2e6;
   pc.max_rate_bps = 15e6;
   est::Pathload pl(pc);
-  auto e = pl.estimate(sc.session());
+  auto e = pl.estimate(sc.transport());
   if (e.valid) {
     EXPECT_GT(e.high_bps, 13e6);
   }
@@ -46,7 +46,7 @@ TEST(Corner, PathloadBracketEntirelyAboveAvailBw) {
   pc.min_rate_bps = 30e6;
   pc.max_rate_bps = 49e6;
   est::Pathload pl(pc);
-  auto e = pl.estimate(sc.session());
+  auto e = pl.estimate(sc.transport());
   if (e.valid) {
     EXPECT_LT(e.low_bps, 32e6);
   }
@@ -65,7 +65,7 @@ TEST(Corner, NearSaturatedPathStillEstimable) {
   pc.max_rate_bps = 20e6;
   pc.resolution_bps = 1e6;
   est::Pathload pl(pc);
-  auto e = pl.estimate(sc.session());
+  auto e = pl.estimate(sc.transport());
   ASSERT_TRUE(e.valid);
   EXPECT_NEAR(e.point_bps(), 3e6, 2.5e6);
 }
@@ -78,7 +78,7 @@ TEST(Corner, IdlePathEstimatesNearCapacity) {
   pc.min_rate_bps = 2e6;
   pc.max_rate_bps = 49.5e6;
   est::Pathload pl(pc);
-  auto e = pl.estimate(sc.session());
+  auto e = pl.estimate(sc.transport());
   ASSERT_TRUE(e.valid);
   EXPECT_GT(e.high_bps, 45e6);
 }
@@ -96,7 +96,7 @@ TEST(Corner, DirectProbingAtRatesNearCapacity) {
   dc.input_rate_bps = 49e6;
   dc.stream_count = 10;
   est::DirectProber prober(dc);
-  auto e = prober.estimate(sc.session());
+  auto e = prober.estimate(sc.transport());
   ASSERT_TRUE(e.valid);
   EXPECT_NEAR(e.point_bps(), 25e6, 3e6);
 }
@@ -129,7 +129,7 @@ TEST(Corner, AdaptiveDirectRecoversFromBadInitialRate) {
   dc.stream_count = 30;
   dc.adaptive = true;
   est::DirectProber prober(dc);
-  auto e = prober.estimate(sc.session());
+  auto e = prober.estimate(sc.transport());
   ASSERT_TRUE(e.valid) << e.detail;
   EXPECT_NEAR(e.point_bps(), 25e6, 3e6);
   // The adapted operating rate sits between A and Ct.
@@ -146,7 +146,7 @@ TEST(Corner, NonAdaptiveWithSameBadRateStaysInvalid) {
   dc.input_rate_bps = 6e6;
   dc.stream_count = 10;
   est::DirectProber prober(dc);
-  EXPECT_FALSE(prober.estimate(sc.session()).valid);
+  EXPECT_FALSE(prober.estimate(sc.transport()).valid);
 }
 
 // ------------------------------------------------------- lossy paths ---
@@ -160,7 +160,7 @@ TEST(Corner, PathloadSurvivesRandomLoss) {
   pc.min_rate_bps = 2e6;
   pc.max_rate_bps = 49e6;
   est::Pathload pl(pc);
-  auto e = pl.estimate(sc.session());
+  auto e = pl.estimate(sc.transport());
   ASSERT_TRUE(e.valid);
   // 1% random loss biases Pathload low (lossy streams read as congestion)
   // but must not produce nonsense.
@@ -177,7 +177,7 @@ TEST(Corner, SpruceSurvivesRandomLoss) {
   spc.tight_capacity_bps = cfg.capacity_bps;
   spc.pair_count = 200;
   est::Spruce spruce(spc, sc.rng().fork());
-  auto e = spruce.estimate(sc.session());
+  auto e = spruce.estimate(sc.transport());
   ASSERT_TRUE(e.valid);  // pairs with a lost packet are skipped
   EXPECT_NEAR(e.point_bps(), 25e6, 5e6);
 }
@@ -193,13 +193,13 @@ TEST(Corner, SequentialEstimatorsShareOneSession) {
   dc.tight_capacity_bps = cfg.capacity_bps;
   dc.stream_count = 5;
   est::DirectProber direct(dc);
-  auto e1 = direct.estimate(sc.session());
+  auto e1 = direct.estimate(sc.transport());
 
   est::PathloadConfig pc;
   pc.min_rate_bps = 2e6;
   pc.max_rate_bps = 49e6;
   est::Pathload pl(pc);
-  auto e2 = pl.estimate(sc.session());
+  auto e2 = pl.estimate(sc.transport());
 
   ASSERT_TRUE(e1.valid);
   ASSERT_TRUE(e2.valid);
@@ -254,7 +254,7 @@ TEST(Corner, ToppNarrowSweepIsInvalidNotWrong) {
   tc.max_rate_bps = 8e6;  // entirely below A: no turning point to find
   tc.rate_step_bps = 2e6;
   est::Topp topp(tc, sc.rng().fork());
-  auto e = topp.estimate(sc.session());
+  auto e = topp.estimate(sc.transport());
   // Either invalid, or the fallback pinned at the sweep ceiling.
   if (e.valid) {
     EXPECT_GE(e.point_bps(), 6e6);

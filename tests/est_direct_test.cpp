@@ -49,7 +49,7 @@ TEST(DirectProber, RecoversAvailBwOnCbr) {
   dc.tight_capacity_bps = cfg.capacity_bps;
   dc.input_rate_bps = 40e6;
   est::DirectProber prober(dc);
-  auto e = prober.estimate(sc.session());
+  auto e = prober.estimate(sc.transport());
   ASSERT_TRUE(e.valid);
   EXPECT_NEAR(e.point_bps(), 25e6, 1e6);
 }
@@ -62,7 +62,7 @@ TEST(DirectProber, RecoversAvailBwOnPoissonWithinVariability) {
   dc.input_rate_bps = 40e6;
   dc.stream_count = 40;
   est::DirectProber prober(dc);
-  auto e = prober.estimate(sc.session());
+  auto e = prober.estimate(sc.transport());
   ASSERT_TRUE(e.valid);
   // Bursty cross traffic biases direct probing low (the paper's point);
   // accept up to 20% underestimation but no overestimation beyond noise.
@@ -88,7 +88,7 @@ TEST_P(DirectSweep, TracksConfiguredAvailBw) {
   dc.input_rate_bps = std::min(cfg.capacity_bps * 0.96, a + 15e6);
   dc.stream_count = 10;
   est::DirectProber prober(dc);
-  auto e = prober.estimate(sc.session());
+  auto e = prober.estimate(sc.transport());
   ASSERT_TRUE(e.valid) << "cross=" << cross;
   EXPECT_NEAR(e.point_bps(), a, a * 0.08) << "cross=" << cross;
 }
@@ -106,7 +106,7 @@ TEST(DirectProber, WrongCapacityBiasesEstimate) {
   dc.tight_capacity_bps = 30e6;  // wrong: true Ct is 50
   dc.input_rate_bps = 40e6;
   est::DirectProber prober(dc);
-  auto e = prober.estimate(sc.session());
+  auto e = prober.estimate(sc.transport());
   ASSERT_TRUE(e.valid);
   EXPECT_GT(std::abs(e.point_bps() - 25e6), 3e6);
 }
@@ -120,7 +120,7 @@ TEST(DirectProber, InvalidWhenNeverCongesting) {
   dc.input_rate_bps = 10e6;  // far below A = 25
   dc.stream_count = 5;
   est::DirectProber prober(dc);
-  auto e = prober.estimate(sc.session());
+  auto e = prober.estimate(sc.transport());
   EXPECT_FALSE(e.valid);
 }
 
@@ -149,7 +149,7 @@ TEST(Spruce, AccurateOnCbrCross) {
   est::SpruceConfig spc;
   spc.tight_capacity_bps = cfg.capacity_bps;
   est::Spruce spruce(spc, sc.rng().fork());
-  auto e = spruce.estimate(sc.session());
+  auto e = spruce.estimate(sc.transport());
   ASSERT_TRUE(e.valid);
   EXPECT_NEAR(e.point_bps(), 25e6, 3e6);
   EXPECT_EQ(spruce.last_samples().size(), 100u);
@@ -163,7 +163,7 @@ TEST(Spruce, ReasonableOnPoissonCross) {
   spc.tight_capacity_bps = cfg.capacity_bps;
   spc.pair_count = 300;
   est::Spruce spruce(spc, sc.rng().fork());
-  auto e = spruce.estimate(sc.session());
+  auto e = spruce.estimate(sc.transport());
   ASSERT_TRUE(e.valid);
   EXPECT_NEAR(e.point_bps(), 25e6, 5e6);
 }
@@ -175,7 +175,7 @@ TEST(Spruce, SamplesClampedToPhysicalRange) {
   est::SpruceConfig spc;
   spc.tight_capacity_bps = cfg.capacity_bps;
   est::Spruce spruce(spc, sc.rng().fork());
-  (void)spruce.estimate(sc.session());
+  (void)spruce.estimate(sc.transport());
   for (double s : spruce.last_samples()) {
     EXPECT_GE(s, 0.0);
     EXPECT_LE(s, cfg.capacity_bps);
@@ -197,7 +197,7 @@ TEST(CapacityEstimator, FindsNarrowLinkOnIdlePath) {
   auto sc = core::Scenario::custom(links, 5);
   est::CapacityConfig cc;
   est::CapacityEstimator cap(cc, sc.rng().fork());
-  double cn = cap.estimate_capacity(sc.session());
+  double cn = cap.estimate_capacity(sc.transport());
   EXPECT_NEAR(cn, 30e6, 30e6 * 0.1);
 }
 
@@ -217,7 +217,7 @@ TEST(CapacityEstimator, FindsNarrowNotTight) {
   est::CapacityConfig cc;
   cc.pair_count = 200;
   est::CapacityEstimator cap(cc, sc.rng().fork());
-  double cn = cap.estimate_capacity(sc.session());
+  double cn = cap.estimate_capacity(sc.transport());
   EXPECT_NEAR(cn, 40e6, 40e6 * 0.15);
   // Tight-link avail-bw is 15 Mb/s — far below the capacity estimate, so
   // using cn as Ct in Eq. 9 is the documented mistake.
@@ -231,7 +231,7 @@ TEST(CapacityEstimator, SamplesExposedForDiagnostics) {
   est::CapacityConfig cc;
   cc.pair_count = 50;
   est::CapacityEstimator cap(cc, sc.rng().fork());
-  (void)cap.estimate_capacity(sc.session());
+  (void)cap.estimate_capacity(sc.transport());
   EXPECT_EQ(cap.last_samples().size(), 50u);
 }
 

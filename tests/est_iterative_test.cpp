@@ -40,7 +40,7 @@ TEST(Topp, RecoversAvailBwAndCapacityOnCbr) {
   tc.max_rate_bps = 48e6;
   tc.rate_step_bps = 2e6;
   est::Topp topp(tc, sc.rng().fork());
-  auto e = topp.estimate(sc.session());
+  auto e = topp.estimate(sc.transport());
   ASSERT_TRUE(e.valid);
   EXPECT_NEAR(e.point_bps(), 25e6, 3e6);
   // TOPP's bonus: the tight-link capacity from the regression slope.
@@ -54,7 +54,7 @@ TEST(Topp, CurveShapeMatchesTheory) {
   tc.max_rate_bps = 45e6;
   tc.rate_step_bps = 5e6;
   est::Topp topp(tc, sc.rng().fork());
-  (void)topp.estimate(sc.session());
+  (void)topp.estimate(sc.transport());
   const auto& curve = topp.last_curve();
   ASSERT_GE(curve.size(), 8u);
   // Below A: ratio near 1 (within the few-percent packet-granularity
@@ -74,7 +74,7 @@ TEST(Topp, ReasonableUnderPoisson) {
   tc.min_rate_bps = 5e6;
   tc.max_rate_bps = 48e6;
   est::Topp topp(tc, sc.rng().fork());
-  auto e = topp.estimate(sc.session());
+  auto e = topp.estimate(sc.transport());
   ASSERT_TRUE(e.valid);
   EXPECT_GT(e.point_bps(), 10e6);
   EXPECT_LT(e.point_bps(), 35e6);
@@ -94,7 +94,7 @@ TEST(Pathload, RangeBracketsAvailBwOnCbr) {
   pc.min_rate_bps = 2e6;
   pc.max_rate_bps = 50e6;
   est::Pathload pl(pc);
-  auto e = pl.estimate(sc.session());
+  auto e = pl.estimate(sc.transport());
   ASSERT_TRUE(e.valid);
   EXPECT_LE(e.low_bps, 26e6);
   EXPECT_GE(e.high_bps, 24e6);
@@ -117,7 +117,7 @@ TEST_P(PathloadSweep, TracksConfiguredAvailBwOnCbr) {
   pc.min_rate_bps = 2e6;
   pc.max_rate_bps = 49e6;
   est::Pathload pl(pc);
-  auto e = pl.estimate(sc.session());
+  auto e = pl.estimate(sc.transport());
   ASSERT_TRUE(e.valid) << "cross=" << cross;
   EXPECT_NEAR(e.point_bps(), a, 6e6) << "cross=" << cross;
 }
@@ -135,7 +135,7 @@ TEST(Pathload, WiderRangeUnderBurstyCross) {
   pc.max_rate_bps = 50e6;
   pc.streams_per_fleet = 8;
   est::Pathload pl(pc);
-  auto e = pl.estimate(sc.session());
+  auto e = pl.estimate(sc.transport());
   ASSERT_TRUE(e.valid);
   // Burstiness widens the reported variation range (the paper's point
   // about range vs point estimates).
@@ -166,7 +166,7 @@ TEST(PathChirp, RecoversAvailBwOnCbr) {
   pc.packets_per_chirp = 20;  // top rate ~ 4 * 1.2^18 ~ 106 Mb/s
   pc.chirps = 20;
   est::PathChirp chirp(pc);
-  auto e = chirp.estimate(sc.session());
+  auto e = chirp.estimate(sc.transport());
   ASSERT_TRUE(e.valid);
   EXPECT_NEAR(e.point_bps(), 25e6, 8e6);
 }
@@ -225,7 +225,7 @@ TEST(IgiPtr, BothFormulasRecoverAvailBwOnCbr) {
   est::IgiPtrConfig ic;
   ic.tight_capacity_bps = 50e6;
   est::IgiPtr igi(ic, est::IgiPtrFormula::kIgi);
-  auto e = igi.estimate(sc.session());
+  auto e = igi.estimate(sc.transport());
   ASSERT_TRUE(e.valid) << e.detail;
   EXPECT_NEAR(igi.last_ptr_bps(), 25e6, 6e6);
   EXPECT_NEAR(igi.last_igi_bps(), 25e6, 8e6);
@@ -237,7 +237,7 @@ TEST(IgiPtr, PtrFlavorReportsPtr) {
   est::IgiPtrConfig ic;
   ic.tight_capacity_bps = 50e6;
   est::IgiPtr ptr(ic, est::IgiPtrFormula::kPtr);
-  auto e = ptr.estimate(sc.session());
+  auto e = ptr.estimate(sc.transport());
   ASSERT_TRUE(e.valid);
   EXPECT_DOUBLE_EQ(e.point_bps(), ptr.last_ptr_bps());
   EXPECT_EQ(ptr.name(), "ptr");
@@ -267,7 +267,7 @@ TEST(Bfind, FindsAvailBwAndHopOnSingleHop) {
   bc.max_rate_bps = 60e6;
   bc.step_duration = 300 * kMillisecond;
   est::Bfind bfind(bc);
-  auto e = bfind.estimate(sc.session());
+  auto e = bfind.estimate(sc.transport());
   ASSERT_TRUE(e.valid) << e.detail;
   // BFind flags once its own probing pushes the hop past saturation:
   // probing rate + cross 25 >= 50 happens at rate ~25-35.
@@ -288,7 +288,7 @@ TEST(Bfind, FlagsTheTightHopInMultiHop) {
   bc.max_rate_bps = 60e6;
   bc.step_duration = 300 * kMillisecond;
   est::Bfind bfind(bc);
-  auto e = bfind.estimate(sc.session());
+  auto e = bfind.estimate(sc.transport());
   ASSERT_TRUE(e.valid);
   EXPECT_EQ(bfind.flagged_hop(), 1u);
 }
@@ -304,7 +304,7 @@ TEST(Bfind, InvalidWhenPathNeverCongests) {
   bc.max_rate_bps = 30e6;
   bc.step_duration = 200 * kMillisecond;
   est::Bfind bfind(bc);
-  auto e = bfind.estimate(sc.session());
+  auto e = bfind.estimate(sc.transport());
   EXPECT_FALSE(e.valid);
 }
 

@@ -230,7 +230,7 @@ TEST(ClockNoise, PathloadRobustToRealisticNoise) {
   pc.min_rate_bps = 2e6;
   pc.max_rate_bps = 49e6;
   est::Pathload pl(pc);
-  auto e = pl.estimate(sc.session());
+  auto e = pl.estimate(sc.transport());
   ASSERT_TRUE(e.valid);
   EXPECT_NEAR(e.point_bps(), 25e6, 6e6);
 }

@@ -337,7 +337,7 @@ TEST(SChirp, EstimatesOnCbrWithinTolerance) {
   scfg.chirp.packets_per_chirp = 22;
   scfg.chirp.chirps = 20;
   est::SChirp tool(scfg);
-  auto e = tool.estimate(sc.session());
+  auto e = tool.estimate(sc.transport());
   ASSERT_TRUE(e.valid);
   EXPECT_NEAR(e.point_bps(), 25e6, 10e6);
   EXPECT_EQ(tool.name(), "schirp");
@@ -402,7 +402,7 @@ TEST(Registry, RegistryBuiltPathloadWorksEndToEnd) {
   opts.max_rate_bps = 49e6;
   stats::Rng rng(2);
   auto tool = core::make_estimator("pathload", opts, rng);
-  auto e = tool->estimate(sc.session());
+  auto e = tool->estimate(sc.transport());
   ASSERT_TRUE(e.valid);
   EXPECT_NEAR(e.point_bps(), 25e6, 6e6);
 }

@@ -463,7 +463,7 @@ TEST(EstimatorLimits, EveryToolAbortsStructurallyUnderBlackout) {
     opt.limits.deadline = 30 * kSecond;
     auto est = core::make_estimator(tool, opt, sc.rng());
 
-    est::Estimate e = est->estimate(sc.session());
+    est::Estimate e = est->estimate(sc.transport());
     EXPECT_FALSE(e.valid) << tool;
     EXPECT_NE(e.abort, est::AbortReason::kNone) << tool << ": " << e.detail;
     EXPECT_TRUE(std::isnan(e.point_bps())) << tool;
@@ -509,7 +509,7 @@ TEST(EstimatorLimits, DegenerateStreamsNeverCrashTools) {
       auto est = core::make_estimator(tool, opt, sc.rng());
 
       est::Estimate e;
-      ASSERT_NO_THROW(e = est->estimate(sc.session()))
+      ASSERT_NO_THROW(e = est->estimate(sc.transport()))
           << tool << " regime " << r;
       if (!e.valid) {
         EXPECT_TRUE(e.abort != est::AbortReason::kNone || !e.detail.empty())
@@ -528,7 +528,7 @@ TEST(EstimatorLimits, LimitsOffPreservesConvergence) {
   opt.max_rate_bps = cfg.capacity_bps;
   auto est = core::make_estimator("pathload", opt, sc.rng());
   ASSERT_FALSE(est->limits().any());
-  est::Estimate e = est->estimate(sc.session());
+  est::Estimate e = est->estimate(sc.transport());
   EXPECT_TRUE(e.valid) << e.detail;
   EXPECT_EQ(e.abort, est::AbortReason::kNone);
 }

@@ -62,7 +62,7 @@ TEST(AllTools, AgreeOnFluidLikePath) {
   auto sc = core::Scenario::single_hop(cfg);
   auto tools = make_tools(cfg.capacity_bps, sc.rng());
   for (auto& tool : tools) {
-    auto e = tool->estimate(sc.session());
+    auto e = tool->estimate(sc.transport());
     ASSERT_TRUE(e.valid) << tool->name() << ": " << e.detail;
     EXPECT_NEAR(e.point_bps(), 25e6, 8e6) << tool->name();
   }
@@ -75,7 +75,7 @@ TEST(AllTools, StayInPhysicalRangeUnderBurstyCross) {
   auto sc = core::Scenario::single_hop(cfg);
   auto tools = make_tools(cfg.capacity_bps, sc.rng());
   for (auto& tool : tools) {
-    auto e = tool->estimate(sc.session());
+    auto e = tool->estimate(sc.transport());
     if (!e.valid) continue;  // bursty paths can defeat individual tools
     EXPECT_GE(e.low_bps, 0.0) << tool->name();
     EXPECT_LE(e.high_bps, cfg.capacity_bps * 1.05) << tool->name();
@@ -100,7 +100,7 @@ TEST(AllTools, CostAccountingIsMonotone) {
   spc.tight_capacity_bps = cfg.capacity_bps;
   est::Spruce spruce(spc, sc.rng().fork());
   auto before = sc.session().cost().packets;
-  auto e = spruce.estimate(sc.session());
+  auto e = spruce.estimate(sc.transport());
   ASSERT_TRUE(e.valid);
   EXPECT_EQ(e.cost.packets - before, 200u);  // 100 pairs
 }
@@ -127,7 +127,7 @@ TEST(MultiHop, PathloadStillBracketsOnCbr) {
   pc.min_rate_bps = 2e6;
   pc.max_rate_bps = 49e6;
   est::Pathload pl(pc);
-  auto e = pl.estimate(sc.session());
+  auto e = pl.estimate(sc.transport());
   ASSERT_TRUE(e.valid);
   EXPECT_NEAR(e.point_bps(), 25e6, 8e6);
 }

@@ -136,7 +136,7 @@ TEST(Diagnostics, EveryToolPopulatesDiagnostics) {
     o.metrics = &metrics;
 
     auto tool = core::make_estimator(info.name, o, sc.rng());
-    est::Estimate e = tool->estimate(sc.session());
+    est::Estimate e = tool->estimate(sc.transport());
     EXPECT_FALSE(e.diagnostics.empty())
         << info.name << " returned no diagnostics (valid=" << e.valid << ")";
     // The template-method wrapper synthesizes `detail` from diagnostics
@@ -179,7 +179,7 @@ CellOutput run_observed_cell(std::uint64_t seed) {
   o.trace = &sink;
   o.metrics = &metrics;
   auto tool = core::make_estimator("spruce", o, sc.rng());
-  (void)tool->estimate(sc.session());
+  (void)tool->estimate(sc.transport());
 
   sc.snapshot_metrics(metrics);
   CellOutput cell;
@@ -229,7 +229,7 @@ TEST(TraceDeterminism, AttachedSinkDoesNotPerturbTheSimulation) {
     o.tight_capacity_bps = cfg.capacity_bps;
     o.repetitions = 20;
     auto tool = core::make_estimator("spruce", o, sc.rng());
-    est::Estimate e = tool->estimate(sc.session());
+    est::Estimate e = tool->estimate(sc.transport());
     return std::make_pair(e.low_bps, sc.simulator().events_processed());
   };
   EXPECT_EQ(run(false), run(true));
@@ -277,7 +277,7 @@ TEST(MetricsSnapshot, MatchesLinkStatsAndSessionCost) {
   o.tight_capacity_bps = cfg.capacity_bps;
   o.repetitions = 20;
   auto tool = core::make_estimator("spruce", o, sc.rng());
-  (void)tool->estimate(sc.session());
+  (void)tool->estimate(sc.transport());
 
   obs::MetricsRegistry m;
   sc.snapshot_metrics(m);

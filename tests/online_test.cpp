@@ -387,7 +387,7 @@ TEST(AdaptiveProber, ConvergesNearTheNominalAvailBw) {
   core::Scenario sc = core::Scenario::single_hop(cfg);
   online::AdaptiveProber prober;
   for (int i = 0; i < 40; ++i)
-    ASSERT_NE(prober.step(sc.session()), online::FeedResult::kExhausted);
+    ASSERT_NE(prober.step(sc.transport()), online::FeedResult::kExhausted);
   ASSERT_TRUE(prober.belief().valid());
   EXPECT_NEAR(prober.belief().estimate_bps, sc.nominal_avail_bw(),
               0.3 * sc.nominal_avail_bw());
@@ -414,14 +414,14 @@ TEST(AdaptiveProber, StepStopsBeforeBustingTheBudget) {
   est::EstimatorLimits lim;
   lim.max_probe_packets = 150;
   prober.set_limits(lim);
-  EXPECT_NE(prober.step(sc.session()), online::FeedResult::kExhausted);
-  EXPECT_NE(prober.step(sc.session()), online::FeedResult::kExhausted);
+  EXPECT_NE(prober.step(sc.transport()), online::FeedResult::kExhausted);
+  EXPECT_NE(prober.step(sc.transport()), online::FeedResult::kExhausted);
   std::uint64_t sent_before = sc.session().cost().packets;
   // 120 consumed; a third stream would reach 180 > 150: nothing sent.
-  EXPECT_EQ(prober.step(sc.session()), online::FeedResult::kExhausted);
+  EXPECT_EQ(prober.step(sc.transport()), online::FeedResult::kExhausted);
   EXPECT_EQ(sc.session().cost().packets, sent_before);
   EXPECT_EQ(prober.abort(), est::AbortReason::kProbeBudgetExhausted);
-  EXPECT_EQ(prober.step(sc.session()), online::FeedResult::kExhausted);
+  EXPECT_EQ(prober.step(sc.transport()), online::FeedResult::kExhausted);
 }
 
 TEST(AdaptiveProber, ValidatesItsConfig) {

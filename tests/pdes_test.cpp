@@ -1,6 +1,6 @@
 // Conservative parallel DES correctness suite (sim/domain.hpp,
-// sim/partition.hpp, core/parallel_scenario.hpp) plus the vectorized
-// FluidQueue bulk-retirement equivalence proofs (sim/fluid.cpp).
+// sim/partition.hpp, core/parallel_scenario.hpp).  The vectorized
+// FluidQueue bulk-retirement equivalence proofs live in fluid_test.
 //
 // The two load-bearing properties:
 //
@@ -27,9 +27,7 @@
 #include "core/parallel_scenario.hpp"
 #include "core/scenario.hpp"
 #include "est/online/kalman.hpp"
-#include "probe/stream_spec.hpp"
 #include "sim/domain.hpp"
-#include "sim/fluid.hpp"
 #include "sim/link.hpp"
 #include "sim/partition.hpp"
 #include "sim/path.hpp"
@@ -272,146 +270,6 @@ TEST(ParallelDes, CutInvarianceHoldsInHybridMode) {
   EXPECT_EQ(base.physics_digest, two.physics_digest);
   EXPECT_EQ(base.kalman_estimate, one.kalman_estimate);
   EXPECT_EQ(base.kalman_estimate, two.kalman_estimate);
-}
-
-// ---------------------------------------------------------------------------
-// Vectorized fluid bulk retirement == scalar, bit for bit
-
-struct FluidOutcome {
-  std::uint64_t digest = 0;
-  std::uint64_t bulk_packets = 0;
-};
-
-// Feeds a synthetic arrival schedule through a FluidQueue in chunks and
-// digests everything observable: link counters, meter series, interval
-// count, residual backlog.
-FluidOutcome run_fluid(bool vectorized, double load_factor,
-                       std::size_t queue_limit, bool straddle_horizon,
-                       std::uint32_t seed) {
-  sim::Simulator simu;
-  sim::LinkConfig lc;
-  lc.capacity_bps = 50e6;
-  lc.propagation_delay = sim::kMillisecond;
-  lc.queue_limit_bytes = queue_limit;
-  sim::Path path(simu, {lc});
-  sim::CountingSink sink;
-  path.set_receiver(&sink);
-  sim::FluidQueue& fq = path.link(0).enable_fluid();
-  fq.set_vectorized(vectorized);
-  fq.reset(0);
-
-  std::mt19937 rng(seed);
-  std::exponential_distribution<double> gap(1.0);
-  const std::uint32_t size_choices[4] = {40, 576, 1500, 1004};
-  const double mean_gap_s = 1500.0 * 8.0 / (50e6 * load_factor);
-
-  sim::SimTime t = 0;
-  std::vector<sim::SimTime> times;
-  std::vector<std::uint32_t> sizes;
-  Digest d;
-  for (int chunk = 0; chunk < 24; ++chunk) {
-    times.clear();
-    sizes.clear();
-    const std::size_t n = 64 + rng() % 512;
-    for (std::size_t i = 0; i < n; ++i) {
-      t += sim::from_seconds(gap(rng) * mean_gap_s);
-      times.push_back(t);
-      sizes.push_back(size_choices[rng() % 4]);
-    }
-    // Horizon at the chunk end, or pulled back into the chunk to force
-    // straddling runs onto the exact per-packet path.
-    sim::SimTime record_until = times.back();
-    if (straddle_horizon && chunk % 3 == 1)
-      record_until = times[n / 2] + (times.back() - times[n / 2]) / 4;
-    // Contract: all absorbed arrivals are <= record_until; split the
-    // chunk there and advance past the remainder like the pump does.
-    std::size_t m = n;
-    while (m > 0 && times[m - 1] > record_until) --m;
-    if (m == 0) continue;
-    fq.absorb(times.data(), sizes.data(), m, record_until);
-    t = times[m - 1];
-    // Periodically drain to an idle point so both paths cross the
-    // carried-backlog code.
-    if (chunk % 5 == 4) {
-      t += sim::from_seconds(mean_gap_s * 64);
-      fq.advance(t);
-    }
-    d.u64(static_cast<std::uint64_t>(fq.free_at()));
-    d.u64(fq.backlog_bytes());
-    d.u64(fq.in_system());
-  }
-  const sim::SimTime end = t + sim::kSecond;
-  fq.advance(end);
-
-  digest_link(d, path.link(0));
-  const auto& meter = path.link(0).meter();
-  d.time(meter.busy_time(0, end));
-  d.u64(meter.interval_count());
-  for (double a :
-       meter.avail_bw_series(0, end, 10 * sim::kMillisecond, false))
-    d.f64(a);
-
-  FluidOutcome out;
-  out.digest = d.h;
-  out.bulk_packets = fq.bulk_packets();
-  return out;
-}
-
-TEST(FluidSimd, BulkRetirementIsBitEqualToScalar) {
-  struct Case {
-    double load;
-    std::size_t limit;
-    bool straddle;
-  };
-  const Case cases[] = {
-      {0.3, 2u << 20, false},  // light load: long idle gaps, short runs
-      {0.8, 2u << 20, false},  // heavy load: long runs, carried backlog
-      {0.8, 2u << 20, true},   // horizon straddles mid-chunk
-      {0.9, 6000, false},      // tiny queue: drop path engages
-      {1.2, 2u << 20, false},  // overload: one run per chunk, deep backlog
-  };
-  std::uint32_t seed = 5;
-  for (const Case& c : cases) {
-    FluidOutcome scalar = run_fluid(false, c.load, c.limit, c.straddle, seed);
-    FluidOutcome simd = run_fluid(true, c.load, c.limit, c.straddle, seed);
-    EXPECT_EQ(simd.digest, scalar.digest)
-        << "load=" << c.load << " limit=" << c.limit
-        << " straddle=" << c.straddle;
-    EXPECT_EQ(scalar.bulk_packets, 0u);
-    ++seed;
-  }
-}
-
-TEST(FluidSimd, BulkPathActuallyEngages) {
-  FluidOutcome simd = run_fluid(true, 0.5, 2u << 20, false, 42);
-  EXPECT_GT(simd.bulk_packets, 0u);
-}
-
-// Hybrid scenarios run the same absorb stream through both settings: the
-// end-to-end digest (probe timestamps, meters, counters) must agree.
-std::uint64_t run_hybrid_scenario(bool vectorized) {
-  core::SingleHopConfig cfg;
-  cfg.mode = sim::SimMode::kHybrid;
-  cfg.model = core::CrossModel::kPoisson;
-  cfg.seed = 31;
-  auto sc = core::Scenario::single_hop(cfg);
-  sc.path().link(0).fluid()->set_vectorized(vectorized);
-
-  Digest d;
-  for (int k = 0; k < 6; ++k) {
-    auto spec = probe::StreamSpec::periodic(15e6 + 4e6 * k, 1500, 60);
-    auto res =
-        sc.session().send_stream(spec, sc.simulator().now() + sim::kMillisecond);
-    digest_stream(d, res);
-    d.f64(res.output_rate_bps());
-  }
-  digest_link(d, sc.path().link(0));
-  d.f64(sc.ground_truth(sim::kSecond, sc.simulator().now()));
-  return d.h;
-}
-
-TEST(FluidSimd, HybridScenarioDigestMatchesScalar) {
-  EXPECT_EQ(run_hybrid_scenario(true), run_hybrid_scenario(false));
 }
 
 }  // namespace

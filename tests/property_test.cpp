@@ -176,7 +176,7 @@ TEST_P(SpruceSweep, MeanSampleTracksAvailBwOnCbr) {
   spc.tight_capacity_bps = cfg.capacity_bps;
   spc.pair_count = 200;
   est::Spruce spruce(spc, sc.rng().fork());
-  auto e = spruce.estimate(sc.session());
+  auto e = spruce.estimate(sc.transport());
   ASSERT_TRUE(e.valid);
   double a = cfg.capacity_bps - cross;
   EXPECT_NEAR(e.point_bps(), a, std::max(3e6, a * 0.12)) << "cross=" << cross;
@@ -224,7 +224,7 @@ TEST(Property, IdenticalSeedsGiveIdenticalEstimates) {
     pc.min_rate_bps = 2e6;
     pc.max_rate_bps = 49e6;
     est::Pathload pl(pc);
-    return pl.estimate(sc.session());
+    return pl.estimate(sc.transport());
   };
   auto a = run();
   auto b = run();

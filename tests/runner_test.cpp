@@ -17,6 +17,7 @@
 #include "core/experiment.hpp"
 #include "core/scenario.hpp"
 #include "runner/batch.hpp"
+#include "runner/bench_report.hpp"
 #include "runner/cli.hpp"
 #include "runner/thread_pool.hpp"
 
@@ -156,6 +157,15 @@ TEST(BatchRunnerTest, TaskExceptionPropagatesLowestIndexFirst) {
     // The serial run would have hit task 3 first; parallel must agree.
     EXPECT_STREQ(e.what(), "task 3 failed");
   }
+}
+
+TEST(BenchReport, PrintBatchTimingFormatsEveryField) {
+  const runner::BatchTiming t{"fig1", 40, 4, 2.0, 0.5};
+  testing::internal::CaptureStdout();
+  runner::print_batch_timing(t);
+  EXPECT_EQ(testing::internal::GetCapturedStdout(),
+            "[batch] fig1: 40 tasks, serial 2.00 s, parallel(4) 0.50 s, "
+            "speedup 4.00x  -> BENCH_batch.json\n");
 }
 
 // ---------------------------------------------- cross-thread determinism ---

@@ -2,9 +2,9 @@
 //
 //  * probe::ReceiverState — the ONE dedup/reorder accounting shared by
 //    ProbeSession, MeshScenario, ParallelScenario, and the live daemon.
-//  * SimTransport bit-identity: every tool run through the Transport
-//    interface must produce byte-identical results (Estimate::to_json)
-//    to the historical direct-ProbeSession path.
+//  * SimTransport bit-identity: every tool run through the scenario's
+//    Transport must produce byte-identical results (Estimate::to_json)
+//    to a SimTransport built locally over the scenario's ProbeSession.
 //  * The wire protocol (net/wire.hpp) round-trips.
 //  * Live UDP loopback: capacity, spruce, and pathload end-to-end
 //    against an in-process abwd daemon; an all-9-tool sweep asserting
@@ -97,7 +97,7 @@ TEST(ReceiverState, OutOfRangeSeqIgnored) {
 }
 
 // ---------------------------------------------------------------------------
-// SimTransport bit-identity: Transport path == historical session path
+// SimTransport bit-identity: scenario transport == local SimTransport
 
 namespace {
 
@@ -125,9 +125,10 @@ TEST(SimTransportIdentity, EveryToolBitIdenticalToSessionPath) {
     auto tool_a = core::make_estimator(name, twin_options(), rng_a);
     auto tool_b = core::make_estimator(name, twin_options(), rng_b);
 
-    // Historical path: the deprecated ProbeSession& overload.
-    est::Estimate via_session = tool_a->estimate(sc_session.session());
-    // Redesigned path: the Transport& interface.
+    // Reference path: a SimTransport built locally over the session.
+    probe::SimTransport local(sc_session.session());
+    est::Estimate via_session = tool_a->estimate(local);
+    // Scenario path: the lazily built Scenario::transport().
     est::Estimate via_transport = tool_b->estimate(sc_transport.transport());
 
     EXPECT_EQ(via_session.to_json(), via_transport.to_json())
@@ -142,7 +143,8 @@ TEST(SimTransportIdentity, CapacityEstimatorBitIdentical) {
   cfg.pair_count = 60;
   est::CapacityEstimator cap_a(cfg, stats::Rng(7));
   est::CapacityEstimator cap_b(cfg, stats::Rng(7));
-  double via_session = cap_a.estimate_capacity(sc_a.session());
+  probe::SimTransport local(sc_a.session());
+  double via_session = cap_a.estimate_capacity(local);
   double via_transport = cap_b.estimate_capacity(sc_b.transport());
   EXPECT_EQ(via_session, via_transport);
 }
