@@ -290,9 +290,10 @@ std::vector<traffic::ReplayRecord> make_fig1_trace() {
 // aggregate (small packets, the paper's fluid-like burstiness baseline),
 // probed with pathload-like epoch pacing: one 100-packet stream, then ~3 s
 // of idle while the tool computes and queues drain (the paper stresses
-// that tools spend most wall-clock time between streams).  Probe/cross
-// interaction runs discrete in both modes; the fluid fast path covers the
-// idle epochs, which dominate simulated time.
+// that tools spend most wall-clock time between streams).  In hybrid
+// mode no cross packet becomes an event, neither during a stream (probes
+// join the fluid FIFO analytically) nor in the idle epochs, which
+// dominate simulated time.
 FluidRun run_fig3_workload(sim::SimMode mode) {
   FluidRun r;
   double t0 = runner::monotonic_seconds();

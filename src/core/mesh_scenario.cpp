@@ -182,29 +182,13 @@ std::vector<probe::StreamResult> MeshScenario::send_concurrent_streams(
     ++cost_.streams;
   }
 
-  // Hybrid mode: the union of the streams' route edges goes discrete for
-  // the whole batch (same 2 ms guard as ProbeSession); off-route edges
-  // stay fluid — that locality is where the mesh's speed comes from.
-  std::vector<char> touched(topo_.edge_count(), 0);
-  for (std::size_t p : ps)
-    for (std::size_t e : routes_[p]) touched[e] = 1;
-  bool windows = false;
-  sim::SimTime open = start - 2 * sim::kMillisecond;
-  if (open < sim_.now()) open = sim_.now();
-  for (std::size_t e = 0; e < topo_.edge_count(); ++e)
-    if (touched[e] && edge_paths_[e]->hybrid()) {
-      edge_paths_[e]->open_packet_window(open);
-      windows = true;
-    }
-
+  // Same hybrid drain rule as ProbeSession::send_stream: with fluid cross
+  // traffic the event queue can empty before a lossy batch's deadline.
   const sim::SimTime deadline =
       start + spec.packets.back().offset + 2 * sim::kSecond;
-  sim_.run_until_condition(deadline, [this] { return drained(); });
-
-  if (windows)
-    for (std::size_t e = 0; e < topo_.edge_count(); ++e)
-      if (touched[e] && edge_paths_[e]->hybrid())
-        edge_paths_[e]->close_packet_window();
+  if (!sim_.run_until_condition(deadline, [this] { return drained(); }) &&
+      cfg_.mode == sim::SimMode::kHybrid)
+    sim_.run_until(deadline);
   for (const probe::StreamResult& r : results) active_.erase(r.stream_id);
   cost_.last_activity = sim_.now();
   return results;

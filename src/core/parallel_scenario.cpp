@@ -151,27 +151,14 @@ probe::StreamResult ParallelScenario::send_periodic_stream(
 
   receiver_->begin_stream(&result);
 
-  // Hybrid mode: every domain's sources go discrete while the stream can
-  // be in flight anywhere on the path (same guard as ProbeSession).
-  bool hybrid = false;
-  for (std::size_t d = 0; d < ppath_->domain_count(); ++d)
-    hybrid = hybrid || ppath_->domain(d).path().hybrid();
-  if (hybrid) {
-    sim::SimTime open = start - 2 * sim::kMillisecond;
-    if (open < ppath_->now()) open = ppath_->now();
-    for (std::size_t d = 0; d < ppath_->domain_count(); ++d)
-      ppath_->domain(d).path().open_packet_window(open);
-  }
-
+  // The windowed engine already ends a stream still missing probes
+  // exactly at its deadline, in both modes: ProbeSession's hybrid drain
+  // rule holds here by construction.
   const sim::SimTime deadline =
       start + spec.packets.back().offset + 2 * sim::kSecond;
   Receiver* rx = receiver_.get();
   ppath_->run_until_condition(deadline,
                               [rx, count] { return rx->received() >= count; });
-
-  if (hybrid)
-    for (std::size_t d = 0; d < ppath_->domain_count(); ++d)
-      ppath_->domain(d).path().close_packet_window();
   receiver_->end_stream();
   return result;
 }

@@ -100,8 +100,8 @@ class CrossTraffic {
 struct SingleHopConfig {
   double capacity_bps = 50e6;
   double cross_rate_bps = 25e6;
-  /// kHybrid advances the cross traffic as a fluid between probe streams
-  /// (see sim/hybrid.hpp); kPacket is the bit-exact event-driven baseline.
+  /// kHybrid integrates the cross traffic as a fluid that probes join
+  /// exactly (see sim/hybrid.hpp); kPacket is the event-driven baseline.
   sim::SimMode mode = sim::SimMode::kPacket;
   CrossModel model = CrossModel::kPoisson;
   std::uint32_t cross_packet_size = 1500;

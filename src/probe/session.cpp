@@ -66,19 +66,15 @@ StreamResult ProbeSession::send_stream(const StreamSpec& spec, sim::SimTime star
     trace_->emit(e);
   }
 
-  // Hybrid mode: bracket the stream with a packet window so every link's
-  // cross traffic is discrete while probes are in flight (sim/hybrid.hpp).
-  bool hybrid = path_.hybrid();
-  if (hybrid) {
-    sim::SimTime open = start - hybrid_guard_;
-    path_.open_packet_window(open > sim_.now() ? open : sim_.now());
-  }
-
   sim::SimTime deadline = start + spec.packets.back().offset + drain_timeout_;
   std::size_t want = spec.packets.size();
-  sim_.run_until_condition(deadline, [this, want] { return received_ >= want; });
-
-  if (hybrid) path_.close_packet_window();
+  // Hybrid drain rule: fluid cross traffic schedules no events, so the
+  // queue can empty before the deadline; a lossy stream then waits the
+  // full drain timeout instead of returning at its last probe.
+  if (!sim_.run_until_condition(deadline,
+                                [this, want] { return received_ >= want; }) &&
+      path_.hybrid())
+    sim_.run_until(deadline);
 
   active_ = nullptr;
   cost_.last_activity = sim_.now();

@@ -61,7 +61,10 @@ class ProbeSession {
   /// Sends one stream starting at `start` (absolute sim time, >= now) and
   /// runs the simulation until every packet arrived or has been given
   /// `drain_timeout` after the last send to arrive (covers queueing and
-  /// losses).  Returns the receiver's measurements.
+  /// losses).  A stream still missing packets returns at the last event
+  /// at or before that deadline in packet mode, and exactly at the
+  /// deadline in hybrid mode, where cross traffic schedules no events.
+  /// Returns the receiver's measurements.
   StreamResult send_stream(const StreamSpec& spec, sim::SimTime start);
 
   /// Convenience: sends starting `lead_in` after now.
@@ -76,13 +79,6 @@ class ProbeSession {
 
   /// Maximum time to wait for in-flight packets after the last send.
   void set_drain_timeout(sim::SimTime t) { drain_timeout_ = t; }
-
-  /// Hybrid mode: lead time by which each stream's packet window opens
-  /// before its first probe, so the cross traffic is discrete (and any
-  /// backlog materialized) well before the probe can interact with it.
-  /// The default comfortably exceeds per-link backlog drain times at the
-  /// paper's utilizations.
-  void set_hybrid_guard(sim::SimTime t) { hybrid_guard_ = t; }
 
   /// The simulation kernel and path this session probes (estimators that
   /// drive their own workloads, e.g. BFind, need them).
@@ -108,7 +104,6 @@ class ProbeSession {
   sim::TypeDemux demux_;
   sim::CountingSink probe_sink_;
   sim::SimTime drain_timeout_ = 2 * sim::kSecond;
-  sim::SimTime hybrid_guard_ = 2 * sim::kMillisecond;
   ReceiverClock clock_;
   stats::Rng clock_rng_{0xC10CC10C};  ///< timestamping-jitter stream
   obs::TraceSink* trace_ = nullptr;   ///< not owned; nullptr = tracing off

@@ -11,6 +11,8 @@ namespace {
 // Minimum remaining arrivals before the vectorized bulk path is worth its
 // precompute pass; short tails go through the scalar loop unchanged.
 constexpr std::size_t kBulkThreshold = 16;
+// Popped FIFO entries kept before a busy period's prefix is erased.
+constexpr std::size_t kCompactMin = 4096;
 }  // namespace
 
 FluidQueue::FluidQueue(Link& link) : link_(link) {}
@@ -34,8 +36,16 @@ void FluidQueue::pop_departures(SimTime t) {
     backlog_bytes_ -= f.size;
     ++head_;
   }
-  if (head_ == q_.size() && head_ != 0) {
-    q_.clear();
+  if (head_ == q_.size()) {
+    if (head_ != 0) {
+      q_.clear();
+      head_ = 0;
+    }
+  } else if (head_ >= kCompactMin && 2 * head_ >= q_.size()) {
+    // A long busy period (probes keep the server saturated): erase the
+    // popped prefix.  At most as many live entries move as were popped,
+    // so the cost stays amortized O(1) per packet.
+    q_.erase(q_.begin(), q_.begin() + static_cast<std::ptrdiff_t>(head_));
     head_ = 0;
   }
 }
@@ -281,49 +291,23 @@ void FluidQueue::advance(SimTime t) {
   emit_busy(t);
 }
 
-void FluidQueue::to_discrete(SimTime now) {
-  advance(now);
-  if (head_ == q_.size()) return;
-  if (link_.transmitting_)
-    throw std::logic_error("FluidQueue::to_discrete: link already transmitting");
-
-  // The head is in service at `now`: its start max(t, prev free_at) <= now
-  // (only arrivals <= now are absorbed and its predecessor departed), and
-  // advance(now) popped everything with dep <= now.
-  InFlight head = q_[head_++];
-
-  Packet pkt;
-  pkt.id = link_.sim_.next_packet_id();
-  pkt.type = PacketType::kCross;
-  pkt.size_bytes = head.size;
-  pkt.flow_id = flow_id_;
-  pkt.exit_hop = exit_hop_;
-  pkt.send_time = now;
-
-  link_.transmitting_ = true;
-  link_.tx_pkt_ = pkt;
-  link_.queued_bytes_ = backlog_bytes_;
-  // The run up to `now` is already in the meter; the in-service remainder
-  // [now, dep) coalesces with it into the exact interval a single DES
-  // add_busy at service start would have produced.
-  link_.meter_.add_busy(now, head.dep, /*measurement=*/false);
-  Link* l = &link_;
-  link_.sim_.at(head.dep, [l] { l->finish_transmission(); });
-
-  while (head_ < q_.size()) {
-    InFlight f = q_[head_++];
-    Packet qp;
-    qp.id = link_.sim_.next_packet_id();
-    qp.type = PacketType::kCross;
-    qp.size_bytes = f.size;
-    qp.flow_id = flow_id_;
-    qp.exit_hop = exit_hop_;
-    qp.send_time = now;
-    link_.queue_.push_back(qp);
-  }
-  q_.clear();
-  head_ = 0;
-  backlog_bytes_ = 0;
+SimTime FluidQueue::admit(SimTime t, std::uint32_t size_bytes,
+                          bool measurement) {
+  if (backlog_bytes_ + size_bytes > link_.cfg_.queue_limit_bytes) return -1;
+  // Record the cross run ahead of the packet through its end, which may
+  // lie past t: nothing else records into this meter, and absorb() never
+  // records before emitted_until_.  [emitted_until_, free_at_) is always
+  // cross traffic only, since every admitted packet moves both to its
+  // departure.
+  emit_busy(free_at_);
+  const SimTime start = t > free_at_ ? t : free_at_;
+  const SimTime dep = start + tx_time(size_bytes);
+  link_.meter_.add_busy(start, dep, measurement);
+  emitted_until_ = dep;
+  free_at_ = dep;
+  backlog_bytes_ += size_bytes;
+  q_.push_back({dep, size_bytes});
+  return dep;
 }
 
 }  // namespace abw::sim

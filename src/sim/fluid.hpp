@@ -11,10 +11,12 @@
 // event-driven link would have produced — only ~100x cheaper, since no
 // event queue, virtual dispatch, or per-packet closures are involved.
 //
-// When a probe enters the link's collision horizon, to_discrete() seeds
-// the link's real DES queue from the fluid backlog (the in-service packet
-// keeps its exact remaining serialization time), so the subsequent
-// probe/cross interaction is packet-accurate.
+// Discrete packets (probes) join the same FIFO through admit(): the link
+// absorbs every cross arrival strictly before the packet's arrival, admit()
+// applies drop-tail and returns the departure time, and the packet's
+// service interval goes into the meter with its measurement attribution.
+// The cross traffic behind it simply queues behind it, so it never has to
+// be turned back into events.
 #pragma once
 
 #include <array>
@@ -39,8 +41,7 @@ class FluidQueue {
   FluidQueue& operator=(const FluidQueue&) = delete;
 
   /// Starts a fresh fluid epoch at `now`.  The link must be idle (no
-  /// transmission in progress, empty queue) — guaranteed by the resume
-  /// rule in HybridCrossSource.
+  /// transmission in progress, empty queue).
   void reset(SimTime now);
 
   /// Absorbs `n` arrivals (ascending times, all <= record_until).  Updates
@@ -55,18 +56,21 @@ class FluidQueue {
   /// out, and the busy run of the remaining backlog is recorded up to `t`.
   void advance(SimTime t);
 
-  /// Stamps materialized packets (to_discrete, arrival taps) with the
+  /// Stamps the cross packets handed to the link's arrival tap with the
   /// owning source's flow id and exit hop.
   void set_identity(std::uint32_t flow_id, std::uint32_t exit_hop) {
     flow_id_ = flow_id;
     exit_hop_ = exit_hop;
   }
 
-  /// Converts the fluid backlog into the link's discrete queue at `now`
-  /// (advances to `now` first).  The in-service packet is re-armed with
-  /// its exact remaining serialization time; queued packets are enqueued
-  /// in FIFO order.  Leaves the fluid queue empty.
-  void to_discrete(SimTime now);
+  /// Admits a discrete packet of `size_bytes` arriving at `t` behind every
+  /// absorbed arrival.  The caller has applied the arrivals and departures
+  /// strictly before `t` and none after (the tie rule, sim/hybrid.hpp).
+  /// Returns -1 when drop-tail rejects the packet.  Otherwise records its
+  /// service interval in the meter, attributed by `measurement`, and
+  /// returns its departure time.  Counts neither the arrival nor the drop:
+  /// the link does, as in packet mode.
+  SimTime admit(SimTime t, std::uint32_t size_bytes, bool measurement);
 
   /// Bytes currently in the fluid system (including the packet in
   /// service), mirroring Link::backlog_bytes() semantics.
@@ -119,10 +123,12 @@ class FluidQueue {
   Link& link_;
   // In-system packets as a flat FIFO: [head_, q_.size()) are live, the
   // head is in service.  Departures advance head_ instead of shifting;
-  // the vector is compacted whenever the queue drains (every idle gap),
-  // so popped prefixes never accumulate past one busy period.  Flat
-  // indexing beats a power-of-two ring here: push/pop are the hottest
-  // absorb() operations and need no masking or wrap arithmetic.
+  // the vector is cleared whenever the queue drains (every idle gap), and
+  // a long busy period erases its popped prefix once that prefix is large
+  // and at least half the vector, so memory stays bounded by the live
+  // backlog.  Flat indexing beats a power-of-two ring here: push/pop are
+  // the hottest absorb() operations and need no masking or wrap
+  // arithmetic.
   std::vector<InFlight> q_;
   std::size_t head_ = 0;
   SimTime free_at_ = 0;

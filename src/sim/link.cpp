@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "sim/fluid.hpp"
+#include "sim/hybrid.hpp"
 
 namespace abw::sim {
 
@@ -25,17 +26,18 @@ Link::Link(Simulator& sim, std::string name, const LinkConfig& cfg)
 Link::~Link() = default;
 
 void Link::emit_packet(obs::EventKind kind, const Packet& pkt,
-                       std::string_view cause) {
+                       std::string_view cause, SimTime time,
+                       std::size_t queue_bytes) {
   obs::TraceEvent e;
   e.kind = kind;
-  e.time = sim_.now();
+  e.time = time;
   e.source = name_;
   e.label = cause;
   e.packet_id = pkt.id;
   e.stream_id = pkt.stream_id;
   e.seq = pkt.seq;
   e.size_bytes = pkt.size_bytes;
-  e.queue_bytes = queued_bytes_;
+  e.queue_bytes = queue_bytes;
   trace_->emit(e);
 }
 
@@ -52,12 +54,9 @@ void Link::emit_simple(obs::EventKind kind, std::string_view label,
 }
 
 void Link::handle(Packet pkt) {
-  if (fluid_active_) {
-    // Safety net: a discrete packet reached a link whose cross traffic is
-    // currently fluid (e.g. a stream sent without a collision window).
-    // Materialize the fluid backlog first so this packet queues behind
-    // exactly the bytes that would have been ahead of it in packet mode.
-    if (fluid_interrupt_) fluid_interrupt_();
+  if (fluid_) {
+    handle_fluid(pkt);
+    return;
   }
   ++stats_.packets_in;
   stats_.bytes_in += pkt.size_bytes;
@@ -91,6 +90,42 @@ void Link::handle(Packet pkt) {
     }
   }
   admit(pkt);
+}
+
+void Link::sync_fluid() const {
+  // The tie rule (sim/hybrid.hpp): only fluid arrivals and departures
+  // strictly before now.  Times are integer nanoseconds.
+  if (fluid_feeder_) fluid_feeder_->sync(sim_.now() - 1);
+}
+
+void Link::handle_fluid(const Packet& pkt) {
+  sync_fluid();
+  const SimTime now = sim_.now();
+  ++stats_.packets_in;
+  stats_.bytes_in += pkt.size_bytes;
+  if (tap_) tap_(pkt, now);
+  const SimTime dep = fluid_->admit(now, pkt.size_bytes, pkt.measurement);
+  if (dep < 0) {
+    ++stats_.packets_dropped;
+    if (trace_)
+      emit_packet(obs::EventKind::kDrop, pkt, "queue", now,
+                  fluid_->backlog_bytes());
+    return;
+  }
+  if (trace_)
+    emit_packet(obs::EventKind::kEnqueue, pkt, {}, now,
+                fluid_->backlog_bytes());
+  if (next_ == nullptr) throw std::logic_error("Link '" + name_ + "': no next handler");
+  // The packet's one event: delivery downstream after propagation.  The
+  // departure itself is counted by the FluidQueue; the deliver trace event
+  // carries the departure time, as in packet mode.  The fluid backlog at
+  // departure is not tracked, so it reports q = 0.
+  sim_.at(dep + cfg_.propagation_delay, [this, pkt] {
+    if (trace_)
+      emit_packet(obs::EventKind::kDeliver, pkt, {},
+                  sim_.now() - cfg_.propagation_delay, 0);
+    next_->handle(pkt);
+  });
 }
 
 void Link::admit(const Packet& pkt) {
@@ -267,7 +302,7 @@ void Link::set_capacity(double bps) {
   });
 }
 
-FluidQueue& Link::enable_fluid() {
+FluidQueue& Link::enable_fluid(HybridAgent* feeder) {
   if (cfg_.discipline == QueueDiscipline::kRed)
     throw std::logic_error("Link '" + name_ +
                            "': hybrid mode does not support RED (its RNG "
@@ -289,6 +324,7 @@ FluidQueue& Link::enable_fluid() {
     throw std::logic_error("Link '" + name_ +
                            "': fluid already enabled (one source per link)");
   fluid_ = std::make_unique<FluidQueue>(*this);
+  fluid_feeder_ = feeder;
   // The fluid fast path appends one meter interval per busy run with no
   // event between to amortize growth; unreserved, the vector's doubling
   // copies cost ~10 ns per absorbed arrival on minute-scale runs.  2^21
@@ -299,8 +335,14 @@ FluidQueue& Link::enable_fluid() {
   return *fluid_;
 }
 
+std::size_t Link::backlog_bytes() const {
+  if (!fluid_) return queued_bytes_;
+  sync_fluid();
+  return fluid_->backlog_bytes();
+}
+
 SimTime Link::current_delay() const {
-  return transmission_time(static_cast<std::uint32_t>(queued_bytes_), cfg_.capacity_bps) +
+  return transmission_time(static_cast<std::uint32_t>(backlog_bytes()), cfg_.capacity_bps) +
          cfg_.propagation_delay;
 }
 

@@ -1,6 +1,11 @@
 // Store-and-forward link: FIFO drop-tail output queue + transmitter +
 // propagation delay.  This is the queueing model every experiment in the
 // paper is built on (its Eq. 6: q-growth when Ri > A happens here).
+//
+// In hybrid mode (sim/hybrid.hpp) a link may instead run its FIFO as a
+// FluidQueue fed by one cross-traffic source.  Discrete packets then join
+// the fluid FIFO on arrival and cost one delivery event each; the event
+// driven transmitter below stays idle.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +25,7 @@
 namespace abw::sim {
 
 class FluidQueue;
+class HybridAgent;
 
 /// Active queue management discipline of a link.
 enum class QueueDiscipline {
@@ -91,8 +97,9 @@ class Link final : public PacketHandler {
   const std::string& name() const { return name_; }
 
   /// Instantaneous queue backlog in bytes (including the packet in
-  /// transmission).
-  std::size_t backlog_bytes() const { return queued_bytes_; }
+  /// transmission).  On a fluid link, the backlog a packet arriving now
+  /// would find (the tie rule of sim/hybrid.hpp).
+  std::size_t backlog_bytes() const;
 
   /// Queueing + transmission delay a packet arriving right now would see
   /// (ignores future arrivals).  Used by the BFind-style per-hop monitor.
@@ -125,31 +132,21 @@ class Link final : public PacketHandler {
   const LinkConfig& config() const { return cfg_; }
 
   // --- hybrid fluid fast path (see sim/fluid.hpp) ------------------------
-  // In hybrid mode the link's cross traffic is integrated analytically by
-  // a FluidQueue between probe collision windows.  Packet mode never
-  // touches any of this: without enable_fluid() the only added cost in
-  // handle() is one always-false branch.
+  // In hybrid mode the link's FIFO is a FluidQueue: cross traffic is
+  // integrated analytically, and handle() admits every discrete packet
+  // into the same FIFO after syncing `feeder` to just before the arrival.
+  // Packet mode never touches any of this: without enable_fluid() the only
+  // added cost in handle() is one always-false branch.
 
-  /// Creates the fluid integrator.  Throws if the link uses RED or random
-  /// loss (their RNG draw order cannot be reproduced analytically — the
-  /// hybrid validity envelope), or if already enabled (one fluid source
-  /// per link).
-  FluidQueue& enable_fluid();
+  /// Creates the fluid integrator, fed by `feeder` (the link's one cross
+  /// source; nullptr when the caller drives the FluidQueue directly).
+  /// Throws if the link uses RED or random loss (their RNG draw order
+  /// cannot be reproduced analytically — the hybrid validity envelope),
+  /// or if already enabled (one fluid source per link).
+  FluidQueue& enable_fluid(HybridAgent* feeder = nullptr);
 
   /// The fluid integrator, or nullptr when hybrid is off.
   FluidQueue* fluid() { return fluid_.get(); }
-
-  /// Marks whether the attached source currently feeds this link as
-  /// fluid.  While set, any discrete packet reaching handle() first runs
-  /// the interrupt hook (which materializes the fluid backlog) — the
-  /// safety net behind the explicit collision-horizon windows.
-  void set_fluid_active(bool on) { fluid_active_ = on; }
-  bool fluid_active() const { return fluid_active_; }
-
-  /// Installs the conversion hook (the owning HybridCrossSource).
-  void set_fluid_interrupt(std::function<void()> cb) {
-    fluid_interrupt_ = std::move(cb);
-  }
 
   // --- fault injection (see sim/fault.hpp) -------------------------------
   // Impairments are mutually exclusive with the hybrid fluid fast path,
@@ -189,9 +186,17 @@ class Link final : public PacketHandler {
   void finish_transmission();  // the link's single recurring tx event
   void admit(const Packet& pkt);  // RED / queue-limit admission + enqueue
   bool red_drop(std::uint32_t size_bytes);  // RED admission decision
-  // Trace emission helpers; call only under `if (trace_)`.
+  void handle_fluid(const Packet& pkt);  // hybrid-mode arrival
+  void sync_fluid() const;  // fluid up to date strictly before now
+  // Trace emission helpers; call only under `if (trace_)`.  The short
+  // form stamps sim_.now() and the DES backlog.
   void emit_packet(obs::EventKind kind, const Packet& pkt,
-                   std::string_view cause);
+                   std::string_view cause) {
+    emit_packet(kind, pkt, cause, sim_.now(), queued_bytes_);
+  }
+  void emit_packet(obs::EventKind kind, const Packet& pkt,
+                   std::string_view cause, SimTime time,
+                   std::size_t queue_bytes);
   void emit_simple(obs::EventKind kind, std::string_view label, double value);
 
   Simulator& sim_;
@@ -225,8 +230,7 @@ class Link final : public PacketHandler {
   double red_avg_bytes_ = 0.0;  // EWMA queue estimate for RED
 
   std::unique_ptr<FluidQueue> fluid_;  // hybrid mode only
-  bool fluid_active_ = false;
-  std::function<void()> fluid_interrupt_;
+  HybridAgent* fluid_feeder_ = nullptr;  // not owned
 
   // Fault injection: allocated only when faults are installed, so the
   // clean hot path pays one null check in handle() and one in

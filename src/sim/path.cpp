@@ -37,14 +37,6 @@ void Path::sync_hybrid(SimTime t) const {
   for (HybridAgent* a : hybrid_agents_) a->sync(t);
 }
 
-void Path::open_packet_window(SimTime start) const {
-  for (HybridAgent* a : hybrid_agents_) a->open_window(start);
-}
-
-void Path::close_packet_window() const {
-  for (HybridAgent* a : hybrid_agents_) a->close_window();
-}
-
 double Path::avail_bw(SimTime t1, SimTime t2) const {
   sync_hybrid(t2);
   double a = std::numeric_limits<double>::infinity();

@@ -77,11 +77,6 @@ class Path {
   /// simulator clock).  Ground-truth queries call this implicitly.
   void sync_hybrid(SimTime t) const;
 
-  /// Opens/closes a packet window on every hybrid source: probe sessions
-  /// bracket each stream so probe/cross interactions stay packet-accurate.
-  void open_packet_window(SimTime start) const;
-  void close_packet_window() const;
-
  private:
   Simulator* sim_;
   std::vector<std::unique_ptr<Link>> links_;

@@ -33,8 +33,13 @@ std::vector<double> group_medians(const std::vector<double>& owds) {
   return medians;
 }
 
-double pct_statistic(const std::vector<double>& owds) {
-  std::vector<double> m = group_medians(owds);
+namespace {
+
+// The statistics and the significance floor, computed on group medians the
+// caller already built, so combined_trend() builds them (and the MAD) once
+// for both tests.
+
+double pct_of_medians(const std::vector<double>& m) {
   if (m.size() < 2) return 0.5;
   std::size_t up = 0;
   for (std::size_t k = 1; k < m.size(); ++k)
@@ -42,13 +47,38 @@ double pct_statistic(const std::vector<double>& owds) {
   return static_cast<double>(up) / static_cast<double>(m.size() - 1);
 }
 
-double pdt_statistic(const std::vector<double>& owds) {
-  std::vector<double> m = group_medians(owds);
+double pdt_of_medians(const std::vector<double>& m) {
   if (m.size() < 2) return 0.0;
   double denom = 0.0;
   for (std::size_t k = 1; k < m.size(); ++k) denom += std::abs(m[k] - m[k - 1]);
   if (denom == 0.0) return 0.0;  // perfectly flat series: no trend
   return (m.back() - m.front()) / denom;
+}
+
+bool significant_medians(const std::vector<double>& m,
+                         const std::vector<double>& owds,
+                         const TrendConfig& cfg) {
+  if (m.size() < 2) return false;
+  auto [lo, hi] = std::minmax_element(m.begin(), m.end());
+  double range = *hi - *lo;
+  if (range <= cfg.min_range_seconds) return false;
+  return range > cfg.min_range_mad_factor * median_abs_deviation(owds);
+}
+
+Trend classify(double s, double increasing, double non_increasing) {
+  if (s > increasing) return Trend::kIncreasing;
+  if (s < non_increasing) return Trend::kNonIncreasing;
+  return Trend::kAmbiguous;
+}
+
+}  // namespace
+
+double pct_statistic(const std::vector<double>& owds) {
+  return pct_of_medians(group_medians(owds));
+}
+
+double pdt_statistic(const std::vector<double>& owds) {
+  return pdt_of_medians(group_medians(owds));
 }
 
 double median_abs_deviation(const std::vector<double>& xs) {
@@ -62,33 +92,30 @@ double median_abs_deviation(const std::vector<double>& xs) {
 
 bool trend_signal_significant(const std::vector<double>& owds,
                               const TrendConfig& cfg) {
-  std::vector<double> m = group_medians(owds);
-  if (m.size() < 2) return false;
-  auto [lo, hi] = std::minmax_element(m.begin(), m.end());
-  double range = *hi - *lo;
-  if (range <= cfg.min_range_seconds) return false;
-  return range > cfg.min_range_mad_factor * median_abs_deviation(owds);
+  return significant_medians(group_medians(owds), owds, cfg);
 }
 
 Trend pct_trend(const std::vector<double>& owds, const TrendConfig& cfg) {
   if (!trend_signal_significant(owds, cfg)) return Trend::kNonIncreasing;
-  double s = pct_statistic(owds);
-  if (s > cfg.pct_increasing) return Trend::kIncreasing;
-  if (s < cfg.pct_non_increasing) return Trend::kNonIncreasing;
-  return Trend::kAmbiguous;
+  return classify(pct_statistic(owds), cfg.pct_increasing,
+                  cfg.pct_non_increasing);
 }
 
 Trend pdt_trend(const std::vector<double>& owds, const TrendConfig& cfg) {
   if (!trend_signal_significant(owds, cfg)) return Trend::kNonIncreasing;
-  double s = pdt_statistic(owds);
-  if (s > cfg.pdt_increasing) return Trend::kIncreasing;
-  if (s < cfg.pdt_non_increasing) return Trend::kNonIncreasing;
-  return Trend::kAmbiguous;
+  return classify(pdt_statistic(owds), cfg.pdt_increasing,
+                  cfg.pdt_non_increasing);
 }
 
 Trend combined_trend(const std::vector<double>& owds, const TrendConfig& cfg) {
-  Trend a = pct_trend(owds, cfg);
-  Trend b = pdt_trend(owds, cfg);
+  // One set of group medians and at most one MAD serve both tests; an
+  // insignificant series is non-increasing under either.
+  const std::vector<double> m = group_medians(owds);
+  if (!significant_medians(m, owds, cfg)) return Trend::kNonIncreasing;
+  Trend a = classify(pct_of_medians(m), cfg.pct_increasing,
+                     cfg.pct_non_increasing);
+  Trend b = classify(pdt_of_medians(m), cfg.pdt_increasing,
+                     cfg.pdt_non_increasing);
   if (a == b) return a;
   // One test is decisive, the other ambiguous: follow the decisive one.
   if (a == Trend::kAmbiguous) return b;

@@ -1,24 +1,15 @@
 // A cross-traffic source for hybrid simulation mode.
 //
 // Wraps a Generator pulled through the chunked arrival-stream API and
-// drives one link's FluidQueue: between probe collision windows the
-// arrivals are absorbed analytically (zero scheduled events); inside a
-// window they are injected as ordinary discrete packets so probe/cross
-// interactions stay packet-accurate.  The switchover rules keep the
-// link's utilization meter exact and time-ordered:
-//
-//   FLUID -> PACKET at window start w: the fluid backlog is materialized
-//   into the link's real queue (the in-service packet keeps its exact
-//   remaining serialization time), then arrivals are injected discretely.
-//
-//   PACKET -> FLUID after the window closes: only at the first arrival
-//   that finds the link completely idle — never mid-backlog — so the DES
-//   has finished recording before the fluid resumes.
+// feeds one link's FluidQueue: arrivals are absorbed analytically and
+// never become events.  The source does no work on its own schedule.  It
+// is pulled up to date on demand: by the link just before each discrete
+// packet arrives, by current_delay()/backlog_bytes() queries, and by
+// ground-truth queries through Path::sync_hybrid.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <memory>
 
 #include "sim/fluid.hpp"
@@ -30,9 +21,8 @@
 
 namespace abw::traffic {
 
-/// One generator feeding one link, switchable between fluid and packet
-/// operation.  Owned by the Scenario; registered with the Path as a
-/// sim::HybridAgent.
+/// One generator feeding one fluid link.  Owned by the Scenario;
+/// registered with the Path and the Link as their sim::HybridAgent.
 class HybridCrossSource final : public sim::HybridAgent {
  public:
   /// Same placement parameters as Generator; takes ownership of `gen`
@@ -50,8 +40,6 @@ class HybridCrossSource final : public sim::HybridAgent {
 
   // sim::HybridAgent
   void sync(sim::SimTime t) override;
-  void open_window(sim::SimTime start) override;
-  void close_window() override;
 
   const Generator& generator() const { return *gen_; }
 
@@ -61,24 +49,7 @@ class HybridCrossSource final : public sim::HybridAgent {
   /// absorb() run splits at chunk boundaries negligible.
   static constexpr std::size_t kChunk = 4096;
 
-  /// window_end_ value while a window is open (close time not yet known).
-  static constexpr sim::SimTime kNoEnd =
-      std::numeric_limits<sim::SimTime>::max();
-
-  /// Safety-net window length when an unexpected discrete packet forces a
-  /// conversion outside any announced window.
-  static constexpr sim::SimTime kSafetyWindow = 5 * sim::kMillisecond;
-
-  enum class State {
-    kFluid,   ///< arrivals absorbed analytically by the FluidQueue
-    kWindow,  ///< arrivals injected as discrete packets
-  };
-
   void pump(sim::SimTime t);   // absorb arrivals <= t, advance the fluid
-  void enter_window();         // FLUID -> PACKET at sim.now()
-  void arm_inject();           // schedule the next discrete injection
-  void emit_discrete();        // inject (or resume fluid if window closed)
-  void on_interrupt();         // Link safety-net hook
   bool refill();               // pull the next chunk; false when stream done
 
   sim::Simulator& sim_;
@@ -88,16 +59,11 @@ class HybridCrossSource final : public sim::HybridAgent {
   std::uint32_t exit_hop_;
   std::unique_ptr<Generator> gen_;
 
-  sim::Link* link_ = nullptr;
   sim::FluidQueue* fq_ = nullptr;
 
   ArrivalChunk chunk_;
   std::size_t cursor_ = 0;  ///< first not-yet-consumed arrival in chunk_
-
-  State state_ = State::kFluid;
-  sim::SimTime window_end_ = 0;  ///< kNoEnd while a window is open
   bool started_ = false;
-  std::uint32_t seq_ = 0;  ///< sequence stamp for discrete injections
 };
 
 }  // namespace abw::traffic

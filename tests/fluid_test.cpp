@@ -1,7 +1,9 @@
 // Tests for the hybrid fluid/packet fast path: chunked-vs-scalar generator
-// equivalence, exact FluidQueue-vs-DES agreement on one link,
-// scenario-level hybrid-vs-packet ground-truth/OWD agreement, and the
-// vectorized FluidQueue bulk-retirement path bit-equal to the scalar one.
+// equivalence, exact FluidQueue-vs-DES agreement on one link, probed
+// hybrid scenarios bit-identical to packet mode (probe timestamps, delay
+// samples, counters, meters), the hybrid event cost and drain rule, and
+// the vectorized FluidQueue bulk-retirement path bit-equal to the scalar
+// one.
 //
 // The full utilization x model sweep is long; by default each axis runs a
 // reduced subset.  Set ABW_SLOW=1 (the `slow`-labeled ctest entry, enabled
@@ -182,13 +184,14 @@ TEST(ChunkedApi, StartAndBeginStreamAreExclusive) {
 // Feeds the identical arrival sequence through a real event-driven link
 // and through a FluidQueue, then requires the utilization meter and the
 // link counters to agree exactly.
-void check_fluid_matches_des(GenKind kind, std::size_t queue_limit_bytes) {
+void check_fluid_matches_des(GenKind kind, std::size_t queue_limit_bytes,
+                             double capacity_bps = 30e6) {
   const SimTime t0 = 0;
   const SimTime t1 = 5 * kSecond;
   const std::uint64_t seed = 1234;
 
   sim::LinkConfig lc;
-  lc.capacity_bps = 30e6;  // ~0.83 utilization at 25 Mb/s offered
+  lc.capacity_bps = capacity_bps;  // default ~0.83 utilization at 25 Mb/s
   lc.propagation_delay = 0;
   lc.queue_limit_bytes = queue_limit_bytes;
 
@@ -255,6 +258,13 @@ TEST(FluidQueue, MatchesDesDropsWithTinyQueue) {
   // 6 kB queue at 0.83 utilization forces frequent drop-tail decisions;
   // fluid and DES must make the identical ones.
   check_fluid_matches_des(GenKind::kParetoOnOff, 6 * 1024);
+}
+
+TEST(FluidQueue, MatchesDesThroughLongBusyPeriod) {
+  // 25 Mb/s offered to 20 Mb/s: one busy period of ~8k departures behind
+  // a backlog that grows to the 2 MB limit, so the FIFO erases its popped
+  // prefix (at 4096 entries) twice while packets are still queued.
+  check_fluid_matches_des(GenKind::kPoissonFixed, 2 << 20, 20e6);
 }
 
 TEST(FluidQueue, RejectsUnsupportedLinkFeatures) {
@@ -350,9 +360,8 @@ TEST(HybridScenario, TraceReplayAgreement) {
   EXPECT_EQ(bytes_in[1], bytes_in[0]);
 }
 
-// With probing, windows bracket each stream: ground truth within 2%, mean
-// probe OWD within 5% of the packet-mode run (same seed, same arrivals —
-// differences come only from event ties at window edges).
+// With probing, hybrid mode still reproduces packet mode exactly: the same
+// stream end times, ground truth and mean probe OWD, to the last bit.
 TEST(HybridScenario, ProbedAgreementSweep) {
   std::vector<double> utils = slow_tests()
       ? std::vector<double>{0.2, 0.3, 0.5, 0.7, 0.8, 0.9}
@@ -386,10 +395,9 @@ TEST(HybridScenario, ProbedAgreementSweep) {
         ++mi;
       }
       EXPECT_EQ(end[0], end[1]);
-      EXPECT_NEAR(truth[1], truth[0], truth[0] * 0.02)
+      EXPECT_EQ(truth[1], truth[0])
           << core::to_string(model) << " util " << util;
-      EXPECT_NEAR(owd[1], owd[0], owd[0] * 0.05)
-          << core::to_string(model) << " util " << util;
+      EXPECT_EQ(owd[1], owd[0]) << core::to_string(model) << " util " << util;
     }
   }
 }
@@ -410,31 +418,208 @@ TEST(HybridScenario, MultiHopProbedAgreement) {
     }
     truth[mi++] = sc.ground_truth(2 * kSecond, sc.simulator().now());
   }
-  EXPECT_NEAR(truth[1], truth[0], truth[0] * 0.02);
+  EXPECT_EQ(truth[1], truth[0]);
 }
 
-// A discrete packet reaching a fluid link outside any announced window
-// triggers the safety-net conversion instead of corrupting accounting.
-TEST(HybridScenario, SafetyNetConvertsOnUnexpectedPacket) {
-  auto sc = core::Scenario::single_hop(
-      hybrid_cfg(core::CrossModel::kPoisson, 0.5, sim::SimMode::kHybrid));
+// A discrete packet injected straight into the path, outside any probe
+// session, takes the same admission path as a probe: the link syncs its
+// fluid source and the packet joins the fluid FIFO, exactly as in packet
+// mode.
+TEST(HybridScenario, InjectedPacketMatchesPacketMode) {
+  double truth[2][2];
+  std::uint64_t counters[2][4];
+  int mi = 0;
+  for (sim::SimMode mode : {sim::SimMode::kPacket, sim::SimMode::kHybrid}) {
+    auto sc = core::Scenario::single_hop(
+        hybrid_cfg(core::CrossModel::kPoisson, 0.5, mode));
+    sim::Simulator& sim = sc.simulator();
+    sim::Path& path = sc.path();
+    SimTime when = sim.now() + 50 * kMillisecond;
+    sim.at(when, [&] {
+      sim::Packet pkt;
+      pkt.id = sim.next_packet_id();
+      pkt.type = sim::PacketType::kProbe;
+      pkt.measurement = true;
+      pkt.size_bytes = 1000;
+      pkt.send_time = sim.now();
+      path.inject(0, pkt);
+    });
+    sim.run_until(10 * kSecond);
+    truth[mi][0] = sc.ground_truth(2 * kSecond, 10 * kSecond);
+    truth[mi][1] = path.avail_bw(2 * kSecond, 10 * kSecond);
+    const sim::LinkStats& st = path.link(0).stats();
+    counters[mi][0] = st.packets_in;
+    counters[mi][1] = st.packets_out;
+    counters[mi][2] = st.bytes_out;
+    counters[mi][3] = path.link(0).meter().interval_count();
+    ++mi;
+  }
+  for (int k = 0; k < 2; ++k) EXPECT_EQ(truth[1][k], truth[0][k]) << k;
+  for (int k = 0; k < 4; ++k) EXPECT_EQ(counters[1][k], counters[0][k]) << k;
+  EXPECT_NEAR(truth[1][0], 25e6, 2.5e6);
+}
+
+// Cross traffic never becomes events in hybrid mode: each probe costs its
+// send event and one delivery event, at any cross load.
+TEST(HybridScenario, ProbeCostsTwoEventsAtAnyLoad) {
+  for (double util : {0.2, 0.5, 0.9}) {
+    auto sc = core::Scenario::single_hop(
+        hybrid_cfg(core::CrossModel::kPoisson, util, sim::SimMode::kHybrid));
+    const std::uint64_t before = sc.simulator().events_processed();
+    std::uint64_t probes = 0;
+    for (int s = 0; s < 20; ++s) {
+      probe::StreamSpec spec = probe::StreamSpec::periodic(30e6, 1500, 50);
+      probe::StreamResult r = sc.session().send_stream_now(spec);
+      ASSERT_EQ(r.lost_count(), 0u);
+      probes += r.packets.size();
+    }
+    EXPECT_EQ(sc.simulator().events_processed() - before, 2 * probes)
+        << "util " << util;
+  }
+}
+
+// The hybrid drain rule: with no cross events pending, a stream still
+// missing probes must wait its full drain timeout, not return at its last
+// probe.  Up to and including the first lossy stream, a tiny-queue hybrid
+// run matches packet mode probe for probe; that stream then ends exactly
+// at its deadline (packet mode ends at its last event before it).
+TEST(HybridScenario, LossyStreamEndsAtItsDeadline) {
+  auto make = [](sim::SimMode mode) {
+    core::SingleHopConfig cfg =
+        hybrid_cfg(core::CrossModel::kPoisson, 0.5, mode);
+    cfg.queue_limit_bytes = 12 * 1024;
+    core::Scenario sc = core::Scenario::single_hop(cfg);
+    sc.session().set_drain_timeout(100 * kMillisecond);
+    return sc;
+  };
+  core::Scenario pkt = make(sim::SimMode::kPacket);
+  core::Scenario hyb = make(sim::SimMode::kHybrid);
+  bool lossy = false;
+  for (int s = 0; s < 40 && !lossy; ++s) {
+    probe::StreamSpec spec =
+        probe::StreamSpec::periodic(10e6 + 2e6 * s, 1500, 60);
+    const SimTime start = hyb.simulator().now() + kMillisecond;
+    ASSERT_EQ(pkt.simulator().now() + kMillisecond, start) << "stream " << s;
+    probe::StreamResult rp = pkt.session().send_stream(spec, start);
+    probe::StreamResult rh = hyb.session().send_stream(spec, start);
+    ASSERT_EQ(rh.packets.size(), rp.packets.size());
+    for (std::size_t i = 0; i < rp.packets.size(); ++i) {
+      EXPECT_EQ(rh.packets[i].received, rp.packets[i].received)
+          << "stream " << s << " probe " << i;
+      EXPECT_EQ(rh.packets[i].lost, rp.packets[i].lost)
+          << "stream " << s << " probe " << i;
+    }
+    lossy = rh.lost_count() > 0;
+    if (lossy) {
+      EXPECT_EQ(hyb.simulator().now(),
+                start + spec.packets.back().offset + 100 * kMillisecond);
+    }
+  }
+  EXPECT_TRUE(lossy);
+}
+
+// ------------------------------------------ hybrid == packet, bit for bit ---
+
+// Everything a probed run exposes: per-probe outcomes, bfind-style per-hop
+// current_delay() samples, every link counter and meter interval count,
+// and the meter-derived series and ground truth as raw bits.
+struct ProbedRun {
+  std::vector<SimTime> sent, received;
+  std::vector<char> lost;
+  std::vector<SimTime> delays;
+  std::vector<std::uint64_t> counters;
+  std::vector<std::uint64_t> bits;
+};
+
+void record_link(ProbedRun& out, const sim::Link& link, SimTime t0,
+                 SimTime t1) {
+  const sim::LinkStats& s = link.stats();
+  for (std::uint64_t v :
+       {s.packets_in, s.packets_out, s.packets_dropped, s.packets_red_dropped,
+        s.packets_lost, s.bytes_in, s.bytes_out, s.packets_ge_lost,
+        s.packets_duplicated, s.packets_reordered, s.capacity_changes})
+    out.counters.push_back(v);
+  out.counters.push_back(link.meter().interval_count());
+  for (bool cross_only : {false, true})
+    for (double a : link.meter().avail_bw_series(t0, t1, 10 * kMillisecond,
+                                                 cross_only))
+      out.bits.push_back(std::bit_cast<std::uint64_t>(a));
+}
+
+// Back-to-back 700 B and 1500 B streams at 5-60 Mb/s, with every hop's
+// current_delay() sampled every 250 us while each stream is in flight.
+ProbedRun run_probed(core::Scenario sc) {
+  ProbedRun out;
   sim::Simulator& sim = sc.simulator();
   sim::Path& path = sc.path();
-  SimTime when = sim.now() + 50 * kMillisecond;
-  sim.at(when, [&] {
-    sim::Packet pkt;
-    pkt.id = sim.next_packet_id();
-    pkt.type = sim::PacketType::kProbe;
-    pkt.measurement = true;
-    pkt.size_bytes = 1000;
-    pkt.send_time = sim.now();
-    path.inject(0, pkt);  // no open_packet_window bracket
-  });
-  sim.run_until(when + kSecond);
-  sim.run_until(10 * kSecond);
-  double truth = sc.ground_truth(2 * kSecond, 10 * kSecond);
-  EXPECT_NEAR(truth, 25e6, 2.5e6);
-  EXPECT_GE(path.link(0).stats().packets_in, 1u);
+  const double rates[] = {5e6, 20e6, 35e6, 50e6, 60e6, 10e6, 45e6, 30e6};
+  for (std::size_t k = 0; k < std::size(rates); ++k) {
+    const std::uint32_t size = k % 2 == 0 ? 700 : 1500;
+    probe::StreamSpec spec = probe::StreamSpec::periodic(rates[k], size, 40);
+    const SimTime start = sim.now() + kMillisecond;
+    for (SimTime t = start; t < start + spec.span();
+         t += 250 * sim::kMicrosecond)
+      sim.at(t, [&path, &out] {
+        for (std::size_t h = 0; h < path.hop_count(); ++h)
+          out.delays.push_back(path.link(h).current_delay());
+      });
+    probe::StreamResult r = sc.session().send_stream(spec, start);
+    for (const probe::ProbeRecord& p : r.packets) {
+      out.sent.push_back(p.sent);
+      out.received.push_back(p.received);
+      out.lost.push_back(p.lost ? 1 : 0);
+    }
+  }
+  sim.run_until(sim.now() + 100 * kMillisecond);
+  path.sync_hybrid(sim.now());
+  for (std::size_t h = 0; h < path.hop_count(); ++h)
+    record_link(out, path.link(h), 2 * kSecond, sim.now());
+  out.bits.push_back(std::bit_cast<std::uint64_t>(
+      sc.ground_truth(2 * kSecond, sim.now())));
+  return out;
+}
+
+void expect_same_run(const ProbedRun& pkt, const ProbedRun& hyb,
+                     const std::string& label) {
+  EXPECT_EQ(hyb.sent, pkt.sent) << label;
+  EXPECT_EQ(hyb.received, pkt.received) << label;
+  EXPECT_EQ(hyb.lost, pkt.lost) << label;
+  EXPECT_EQ(hyb.delays, pkt.delays) << label;
+  EXPECT_EQ(hyb.counters, pkt.counters) << label;
+  EXPECT_EQ(hyb.bits, pkt.bits) << label;
+}
+
+// Hybrid mode is an exact integration of packet mode, not an
+// approximation: with probes queueing among the cross traffic, every
+// observable agrees bit for bit.
+TEST(HybridScenario, MatchesPacketModeExactly) {
+  for (core::CrossModel model : {core::CrossModel::kCbr,
+                                 core::CrossModel::kPoisson,
+                                 core::CrossModel::kParetoOnOff}) {
+    for (double util : {0.5, 0.8}) {
+      ProbedRun runs[2];
+      int mi = 0;
+      for (sim::SimMode mode : {sim::SimMode::kPacket, sim::SimMode::kHybrid}) {
+        core::SingleHopConfig cfg = hybrid_cfg(model, util, mode);
+        cfg.trimodal_cross_sizes = model == core::CrossModel::kPoisson;
+        runs[mi++] = run_probed(core::Scenario::single_hop(cfg));
+      }
+      ASSERT_FALSE(runs[0].delays.empty());
+      expect_same_run(runs[0], runs[1],
+                      std::string(core::to_string(model)) + " util " +
+                          std::to_string(util));
+    }
+  }
+  ProbedRun runs[2];
+  int mi = 0;
+  for (sim::SimMode mode : {sim::SimMode::kPacket, sim::SimMode::kHybrid}) {
+    core::MultiHopConfig mc;
+    mc.mode = mode;
+    mc.traffic_horizon = 30 * kSecond;
+    mc.seed = 5;
+    runs[mi++] = run_probed(core::Scenario::multi_hop(mc));
+  }
+  expect_same_run(runs[0], runs[1], "5-hop Poisson");
 }
 
 // Hybrid runs are as repeatable as packet runs: same seed, same results.

@@ -4,6 +4,7 @@
 // contract (every tool reports structured key/value diagnostics).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -17,6 +18,7 @@
 #include "est/estimator.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "probe/stream_spec.hpp"
 #include "runner/batch.hpp"
 
 namespace {
@@ -233,6 +235,80 @@ TEST(TraceDeterminism, AttachedSinkDoesNotPerturbTheSimulation) {
     return std::make_pair(e.low_bps, sc.simulator().events_processed());
   };
   EXPECT_EQ(run(false), run(true));
+}
+
+// The probe-packet events of a link trace: enqueue, drop and deliver with
+// their stream id and seq (cross packets carry stream id 0).
+class ProbeEventSink final : public obs::TraceSink {
+ public:
+  struct Event {
+    obs::EventKind kind;
+    sim::SimTime time;
+    std::uint32_t stream_id;
+    std::uint32_t seq;
+    auto operator<=>(const Event&) const = default;
+  };
+
+  void emit(const obs::TraceEvent& e) override {
+    if (e.stream_id == 0) return;
+    if (e.kind == obs::EventKind::kEnqueue || e.kind == obs::EventKind::kDrop ||
+        e.kind == obs::EventKind::kDeliver)
+      events.push_back({e.kind, e.time, e.stream_id, e.seq});
+  }
+
+  std::vector<Event> events;
+};
+
+struct TracedProbeRun {
+  std::vector<ProbeEventSink::Event> events;
+  std::vector<sim::SimTime> received;
+  std::uint64_t sim_events = 0;
+};
+
+// Streams ramping past the avail-bw into a 12 KB queue, at fixed start
+// times so a lossy stream's end cannot shift the next one.
+TracedProbeRun run_traced_probes(sim::SimMode mode, bool traced) {
+  core::SingleHopConfig cfg;
+  cfg.mode = mode;
+  cfg.queue_limit_bytes = 12 * 1024;
+  cfg.traffic_horizon = 20 * sim::kSecond;
+  cfg.seed = 17;
+  ProbeEventSink sink;  // outlives the scenario that points at it
+  core::Scenario sc = core::Scenario::single_hop(cfg);
+  sc.session().set_drain_timeout(100 * sim::kMillisecond);
+  if (traced) sc.set_trace(&sink);
+  TracedProbeRun run;
+  for (int k = 0; k < 8; ++k) {
+    probe::StreamSpec spec =
+        probe::StreamSpec::periodic(10e6 + 6e6 * k, k % 2 ? 1500 : 700, 60);
+    probe::StreamResult r = sc.session().send_stream(
+        spec, cfg.warmup + k * 300 * sim::kMillisecond);
+    for (const probe::ProbeRecord& p : r.packets)
+      run.received.push_back(p.lost ? -1 : p.received);
+  }
+  run.events = sink.events;
+  std::sort(run.events.begin(), run.events.end());
+  run.sim_events = sc.simulator().events_processed();
+  return run;
+}
+
+// A traced fluid link still reports every probe's enqueue, drop and
+// deliver, with packet-mode timestamps; attaching the sink changes nothing.
+TEST(TraceDeterminism, HybridProbeEventsMatchPacketMode) {
+  const TracedProbeRun pkt = run_traced_probes(sim::SimMode::kPacket, true);
+  const TracedProbeRun hyb = run_traced_probes(sim::SimMode::kHybrid, true);
+  auto count = [&](obs::EventKind k) {
+    return std::count_if(hyb.events.begin(), hyb.events.end(),
+                         [k](const auto& e) { return e.kind == k; });
+  };
+  EXPECT_GT(count(obs::EventKind::kDrop), 0);
+  EXPECT_GT(count(obs::EventKind::kDeliver), 0);
+  EXPECT_EQ(hyb.events, pkt.events);
+  EXPECT_EQ(hyb.received, pkt.received);
+
+  const TracedProbeRun plain = run_traced_probes(sim::SimMode::kHybrid, false);
+  EXPECT_EQ(plain.received, hyb.received);
+  EXPECT_EQ(plain.sim_events, hyb.sim_events);
 }
 
 TEST(TraceDeterminism, JsonlSchemaSanity) {

@@ -372,6 +372,34 @@ TEST(Trend, ShortSeriesIsHandled) {
   EXPECT_EQ(pdt_trend({1.0}), Trend::kNonIncreasing);
 }
 
+// combined_trend shares one set of group medians between PCT and PDT; it
+// must classify exactly as Pathload's rule over the public tests does.
+TEST(Trend, CombinedMatchesPathloadRuleOverPublicTests) {
+  auto reference = [](const std::vector<double>& owds) {
+    Trend a = pct_trend(owds);
+    Trend b = pdt_trend(owds);
+    if (a == b) return a;
+    if (a == Trend::kAmbiguous) return b;
+    if (b == Trend::kAmbiguous) return a;
+    return Trend::kAmbiguous;
+  };
+  Rng r(23);
+  int verdicts[3] = {0, 0, 0};
+  for (int trial = 0; trial < 600; ++trial) {
+    const std::size_t n = 1 + static_cast<std::size_t>(r.uniform01() * 120);
+    const double slope = r.uniform(-1.6e-5, 2.4e-5);
+    const double noise = r.uniform(0.0, 3e-4);
+    std::vector<double> owds;
+    for (std::size_t i = 0; i < n; ++i)
+      owds.push_back(0.004 + slope * static_cast<double>(i) +
+                     noise * r.normal());
+    const Trend got = combined_trend(owds);
+    ASSERT_EQ(got, reference(owds)) << "trial " << trial;
+    ++verdicts[static_cast<int>(got)];
+  }
+  for (int v : verdicts) EXPECT_GT(v, 0);
+}
+
 TEST(Trend, ToStringNames) {
   EXPECT_STREQ(to_string(Trend::kIncreasing), "increasing");
   EXPECT_STREQ(to_string(Trend::kNonIncreasing), "non-increasing");
