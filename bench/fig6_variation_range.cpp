@@ -11,6 +11,7 @@
 // link, showing the probing-based range lands on the passive band.
 #include <cstdio>
 #include <iostream>
+#include <memory>
 
 #include "core/report.hpp"
 #include "core/scenario.hpp"
@@ -49,8 +50,10 @@ int main() {
   links[0].capacity_bps = tc.capacity_bps;
   links[0].queue_limit_bytes = 8 << 20;
   auto sc = core::Scenario::custom(links, 66);
-  traffic::TraceReplayer rep(sc.simulator(), sc.path(), 0, false, 1);
-  rep.schedule(tr.to_replay());
+  sc.add_cross_source(
+      std::make_unique<traffic::TraceGenerator>(sc.simulator(), sc.path(), 0,
+                                                false, 1, tr.to_replay()),
+      0, false, 1, sim::SimMode::kPacket, 600 * sim::kSecond);
   sc.simulator().run_until(sim::kSecond);
 
   est::PathloadConfig pc;

@@ -11,80 +11,86 @@
 
 namespace abw::core {
 
-// Receiver of one edge's Path: forwards end-to-end probe packets along
-// their pair's route or delivers them to the owning scenario.
-class MeshScenario::EdgeExit final : public sim::PacketHandler {
- public:
-  EdgeExit(MeshScenario& owner, std::size_t edge)
-      : owner_(owner), edge_(edge) {}
+namespace {
 
-  void handle(sim::Packet pkt) override { owner_.on_edge_exit(edge_, pkt); }
+// measure_mesh_pair's search geometry.  Streams per fleet: each rate
+// verdict is the majority over this many independent streams.  One stream
+// samples the avail-bw process at one instant; a burst there flips its
+// verdict, and a flipped verdict early in a binary search is
+// unrecoverable.  3 is cheap insurance.
+constexpr std::size_t kStreamsPerFleet = 3;
+constexpr std::uint32_t kPacketSize = 1500;
+// First stream's input rate as a fraction of the route's narrow capacity
+// (the search bracket starts at [0, narrow capacity]).
+constexpr double kInitialUtilization = 0.85;
+constexpr sim::SimTime kInterStreamGap = 20 * sim::kMillisecond;
+constexpr sim::SimTime kLeadIn = 1 * sim::kMillisecond;
 
- private:
-  MeshScenario& owner_;
-  std::size_t edge_;
-};
+void check_config(const MeshConfig& cfg) {
+  if (cfg.pairs.empty())
+    throw std::invalid_argument("MeshScenario: no pairs");
+  if (cfg.topology.edge_count() == 0)
+    throw std::invalid_argument("MeshScenario: empty topology");
+  if (!cfg.edge_cross_rate_bps.empty() &&
+      cfg.edge_cross_rate_bps.size() != cfg.topology.edge_count())
+    throw std::invalid_argument(
+        "MeshScenario: edge_cross_rate_bps size must match edge_count");
+}
+
+// Edge e's background source; rate_bps <= 0 leaves the edge idle.
+CrossSpec edge_cross_spec(const MeshConfig& cfg, std::size_t e) {
+  CrossSpec spec;
+  spec.model = cfg.model;
+  spec.packet_size = cfg.cross_packet_size;
+  spec.capacity_bps = cfg.topology.edge(e).link.capacity_bps;
+  spec.rate_bps =
+      e < cfg.edge_cross_rate_bps.size() ? cfg.edge_cross_rate_bps[e] : 0.0;
+  if (spec.rate_bps >= spec.capacity_bps)
+    throw std::invalid_argument("MeshScenario: edge " + std::to_string(e) +
+                                " background rate must be below capacity");
+  return spec;
+}
+
+// Seeded by the GLOBAL edge index only: the traffic process is a pure
+// function of (config, seed), independent of pair set or probing.
+stats::Rng edge_rng(const MeshConfig& cfg, std::size_t e) {
+  return stats::Rng(runner::derive_seed(cfg.seed, e));
+}
+
+std::uint32_t edge_flow_id(std::size_t e) {
+  return 1000 + static_cast<std::uint32_t>(e);
+}
+
+// Pair p's route in `topo`, auto-routed first when none is installed.
+const std::vector<std::size_t>& route_of(sim::Topology& topo,
+                                         const sim::NodePair& p) {
+  if (p.src == p.dst)
+    throw std::invalid_argument("MeshScenario: pair with src == dst");
+  if (topo.route(p.src, p.dst) == nullptr && !topo.auto_route(p.src, p.dst))
+    throw std::invalid_argument("MeshScenario: pair " + std::to_string(p.src) +
+                                "->" + std::to_string(p.dst) +
+                                " is unreachable");
+  return *topo.route(p.src, p.dst);
+}
+
+}  // namespace
 
 MeshScenario::MeshScenario(const MeshConfig& cfg)
     : cfg_(cfg), topo_(cfg.topology), pairs_(cfg.pairs) {
-  if (pairs_.empty())
-    throw std::invalid_argument("MeshScenario: no pairs");
-  if (topo_.edge_count() == 0)
-    throw std::invalid_argument("MeshScenario: empty topology");
-  if (!cfg_.edge_cross_rate_bps.empty() &&
-      cfg_.edge_cross_rate_bps.size() != topo_.edge_count())
-    throw std::invalid_argument(
-        "MeshScenario: edge_cross_rate_bps size must match edge_count");
-
+  check_config(cfg_);
   routes_.reserve(pairs_.size());
-  for (const sim::NodePair& p : pairs_) {
-    if (p.src == p.dst)
-      throw std::invalid_argument("MeshScenario: pair with src == dst");
-    if (topo_.route(p.src, p.dst) == nullptr &&
-        !topo_.auto_route(p.src, p.dst))
-      throw std::invalid_argument("MeshScenario: pair " +
-                                  std::to_string(p.src) + "->" +
-                                  std::to_string(p.dst) + " is unreachable");
-  }
-  for (const sim::NodePair& p : pairs_)
-    routes_.push_back(*topo_.route(p.src, p.dst));
+  for (const sim::NodePair& p : pairs_) routes_.push_back(route_of(topo_, p));
 
   edge_paths_.reserve(topo_.edge_count());
-  exits_.reserve(topo_.edge_count());
-  for (std::size_t e = 0; e < topo_.edge_count(); ++e) {
+  for (std::size_t e = 0; e < topo_.edge_count(); ++e)
     edge_paths_.push_back(std::make_unique<sim::Path>(
         sim_, std::vector<sim::LinkConfig>{topo_.edge(e).link}));
-    exits_.push_back(std::make_unique<EdgeExit>(*this, e));
-    edge_paths_[e]->set_receiver(exits_[e].get());
-  }
 
-  next_edge_.assign(topo_.edge_count(),
-                    std::vector<std::int32_t>(pairs_.size(), kNotRouted));
-  for (std::size_t p = 0; p < pairs_.size(); ++p) {
-    const std::vector<std::size_t>& r = routes_[p];
-    for (std::size_t i = 0; i < r.size(); ++i)
-      next_edge_[r[i]][p] = i + 1 < r.size()
-                                ? static_cast<std::int32_t>(r[i + 1])
-                                : kDeliver;
-  }
-
-  CrossSpec spec;
-  spec.model = cfg_.model;
-  spec.packet_size = cfg_.cross_packet_size;
-  for (std::size_t e = 0; e < cfg_.edge_cross_rate_bps.size(); ++e) {
-    const double rate = cfg_.edge_cross_rate_bps[e];
-    if (rate <= 0.0) continue;
-    if (rate >= topo_.edge(e).link.capacity_bps)
-      throw std::invalid_argument("MeshScenario: edge " + std::to_string(e) +
-                                  " background rate must be below capacity");
-    spec.rate_bps = rate;
-    spec.capacity_bps = topo_.edge(e).link.capacity_bps;
-    // Seeded by the GLOBAL edge index only: the traffic process is a pure
-    // function of (config, seed), independent of pair set or probing.
-    cross_.attach(sim_, *edge_paths_[e], 0, /*one_hop=*/true,
-                  1000 + static_cast<std::uint32_t>(e),
-                  stats::Rng(runner::derive_seed(cfg_.seed, e)), cfg_.mode,
-                  spec, 0, cfg_.traffic_horizon);
+  for (std::size_t e = 0; e < topo_.edge_count(); ++e) {
+    const CrossSpec spec = edge_cross_spec(cfg_, e);
+    if (spec.rate_bps <= 0.0) continue;
+    cross_.attach(sim_, *edge_paths_[e], 0, /*one_hop=*/true, edge_flow_id(e),
+                  edge_rng(cfg_, e), cfg_.mode, spec, 0, cfg_.traffic_horizon);
   }
 
   sim_.run_until(cfg_.warmup);
@@ -92,113 +98,39 @@ MeshScenario::MeshScenario(const MeshConfig& cfg)
 
 MeshScenario::~MeshScenario() = default;
 
-void MeshScenario::on_edge_exit(std::size_t edge, const sim::Packet& pkt) {
-  if (pkt.type != sim::PacketType::kProbe) return;
-  if (pkt.flow_id >= pairs_.size()) return;  // not a mesh probe flow
-  const std::int32_t next = next_edge_[edge][pkt.flow_id];
-  if (next >= 0) {
-    edge_paths_[static_cast<std::size_t>(next)]->inject(0, pkt);
-    return;
-  }
-  if (next != kDeliver) return;  // stray: not on this pair's route
-
-  auto it = active_.find(pkt.stream_id);
-  if (it == active_.end()) return;  // stream already drained
-  ActiveStream& st = it->second;
-  // ProbeSession-identical dedup/reorder semantics via the shared
-  // probe::ReceiverState (duplicates keep the first copy's timestamp).
-  probe::ProbeRecord* rec = st.recv.accept(*st.result, pkt.seq);
-  if (rec == nullptr) return;
-  rec->received = sim_.now();
-  ++st.received;
-}
-
-bool MeshScenario::drained() const {
-  for (const auto& [id, st] : active_)
-    if (st.received < st.expected) return false;
-  return true;
-}
-
-probe::StreamResult MeshScenario::send_stream(std::size_t p,
-                                              const probe::StreamSpec& spec,
-                                              sim::SimTime lead_in) {
-  std::vector<probe::StreamResult> r =
-      send_concurrent_streams(std::vector<std::size_t>{p}, spec, lead_in);
-  return std::move(r.front());
-}
-
-std::vector<probe::StreamResult> MeshScenario::send_concurrent_streams(
-    const std::vector<std::size_t>& ps, const probe::StreamSpec& spec,
-    sim::SimTime lead_in) {
-  if (ps.empty()) return {};
-  if (spec.packets.empty())
-    throw std::invalid_argument("MeshScenario: empty stream spec");
-  for (std::size_t p : ps)
-    if (p >= pairs_.size())
-      throw std::invalid_argument("MeshScenario: pair index out of range");
-
-  const sim::SimTime start = sim_.now() + lead_in;
-  if (cost_.streams == 0) cost_.first_send = start;
-
-  // Results are sized up front: ActiveStream holds pointers into them.
-  std::vector<probe::StreamResult> results(ps.size());
-  for (std::size_t i = 0; i < ps.size(); ++i) {
-    results[i].stream_id = next_stream_id_++;
-    ActiveStream st;
-    st.result = &results[i];
-    st.expected = spec.packets.size();
-    active_.emplace(results[i].stream_id, st);
+Scenario pair_scenario(const MeshConfig& cfg, std::size_t pair) {
+  check_config(cfg);
+  if (pair >= cfg.pairs.size())
+    throw std::invalid_argument("pair_scenario: pair index out of range");
+  const sim::NodePair& np = cfg.pairs[pair];
+  const std::vector<std::size_t>* route = cfg.topology.route(np.src, np.dst);
+  sim::Topology routed;
+  if (route == nullptr) {
+    routed = cfg.topology;
+    route = &route_of(routed, np);
   }
 
-  for (std::size_t i = 0; i < ps.size(); ++i) {
-    const std::size_t entry = routes_[ps[i]].front();
-    sim::Path* path0 = edge_paths_[entry].get();
-    const auto fid = static_cast<std::uint32_t>(ps[i]);
-    const std::uint32_t sid = results[i].stream_id;
-    results[i].packets.resize(spec.packets.size());
-    for (std::size_t k = 0; k < spec.packets.size(); ++k) {
-      const probe::ProbePacketSpec& pp = spec.packets[k];
-      results[i].packets[k].seq = static_cast<std::uint32_t>(k);
-      results[i].packets[k].size_bytes = pp.size_bytes;
-      results[i].packets[k].sent = start + pp.offset;
-      results[i].packets[k].lost = true;  // cleared on arrival
-      const std::uint32_t sz = pp.size_bytes;
-      const auto seq = static_cast<std::uint32_t>(k);
-      sim_.at(start + pp.offset, [this, path0, fid, sid, sz, seq] {
-        sim::Packet pkt;
-        pkt.id = sim_.next_packet_id();
-        pkt.type = sim::PacketType::kProbe;
-        pkt.measurement = true;  // excluded from cross-traffic ground truth
-        pkt.size_bytes = sz;
-        pkt.flow_id = fid;  // the pair index = the route key
-        pkt.stream_id = sid;
-        pkt.seq = seq;
-        pkt.send_time = sim_.now();
-        path0->inject(0, pkt);
-      });
-      ++cost_.packets;
-      cost_.bytes += sz;
-    }
-    ++cost_.streams;
+  std::vector<sim::LinkConfig> links;
+  links.reserve(route->size());
+  for (std::size_t e : *route) links.push_back(cfg.topology.edge(e).link);
+  Scenario sc = Scenario::custom(links, cfg.seed);
+  // Sources attach in edge-index order, as MeshScenario attaches them, so
+  // same-instant events on different hops tie-break identically.
+  for (std::size_t e = 0; e < cfg.topology.edge_count(); ++e) {
+    const auto hop = std::find(route->begin(), route->end(), e);
+    if (hop == route->end()) continue;
+    const CrossSpec spec = edge_cross_spec(cfg, e);
+    if (spec.rate_bps <= 0.0) continue;
+    const auto h = static_cast<std::size_t>(hop - route->begin());
+    sc.add_cross_source(
+        make_cross_generator(sc.simulator(), sc.path(), h, /*one_hop=*/true,
+                             edge_flow_id(e), edge_rng(cfg, e), spec.model,
+                             spec.rate_bps, spec.packet_size, spec.trimodal,
+                             spec.onoff_peak, spec.capacity_bps),
+        h, /*one_hop=*/true, edge_flow_id(e), cfg.mode, cfg.traffic_horizon);
   }
-
-  // Same hybrid drain rule as ProbeSession::send_stream: with fluid cross
-  // traffic the event queue can empty before a lossy batch's deadline.
-  const sim::SimTime deadline =
-      start + spec.packets.back().offset + 2 * sim::kSecond;
-  if (!sim_.run_until_condition(deadline, [this] { return drained(); }) &&
-      cfg_.mode == sim::SimMode::kHybrid)
-    sim_.run_until(deadline);
-  for (const probe::StreamResult& r : results) active_.erase(r.stream_id);
-  cost_.last_activity = sim_.now();
-  return results;
-}
-
-double MeshScenario::pair_narrow_capacity(std::size_t p) const {
-  double cap = std::numeric_limits<double>::infinity();
-  for (std::size_t e : routes_.at(p))
-    cap = std::min(cap, topo_.edge(e).link.capacity_bps);
-  return cap;
+  sc.simulator().run_until(cfg.warmup);
+  return sc;
 }
 
 double MeshScenario::nominal_pair_avail_bw(std::size_t p) const {
@@ -264,9 +196,6 @@ void MeshScenario::snapshot_metrics(obs::MetricsRegistry& m) const {
     m.counter(p + "bytes_out").set(s.bytes_out);
     m.gauge(p + "capacity_bps").set(link.capacity_bps());
   }
-  m.counter("mesh.streams").set(cost_.streams);
-  m.counter("mesh.packets").set(cost_.packets);
-  m.counter("mesh.bytes").set(cost_.bytes);
   m.counter("sim.events").set(sim_.events_processed());
 }
 
@@ -275,7 +204,8 @@ est::MeshMeasurement measure_mesh_pair(const MeshConfig& cfg, std::size_t p,
                                        const MeshProbeConfig& probe) {
   MeshConfig replica = cfg;
   replica.seed = seed;
-  MeshScenario mesh(replica);
+  Scenario sc = pair_scenario(replica, p);
+  probe::Transport& transport = sc.transport();
 
   // Iterative binary rate search a la pathload.  Mesh routes typically
   // cross several comparably loaded links; there the Eq. 9 magnitude
@@ -283,16 +213,15 @@ est::MeshMeasurement measure_mesh_pair(const MeshConfig& cfg, std::size_t p,
   // the paper's multi-hop pitfall), but the OWD-trend verdict "Ri above
   // A?" is hop-count-proof, so the bracket still converges to the
   // end-to-end (Eq. 3 min) avail-bw.
-  const double ct = mesh.pair_narrow_capacity(p);
+  const double ct = sc.path().narrow_capacity();
   double lo = 0.0;
   double hi = ct;
-  double rate = std::clamp(probe.initial_utilization, 0.05, 0.98) * ct;
+  double rate = kInitialUtilization * ct;
   std::uint32_t verdicts = 0;
-  const std::size_t fleet = std::max<std::size_t>(probe.streams_per_fleet, 1);
   for (std::size_t k = 0; k < probe.streams; ++k) {
     // Packet count so the stream spans the configured duration at Ri
     // (same geometry as est::DirectProber::stream_spec).
-    const sim::SimTime gap = sim::transmission_time(probe.packet_size, rate);
+    const sim::SimTime gap = sim::transmission_time(kPacketSize, rate);
     std::size_t count =
         static_cast<std::size_t>(probe.stream_duration / gap) + 1;
     count = std::max<std::size_t>(count, 8);
@@ -302,11 +231,10 @@ est::MeshMeasurement measure_mesh_pair(const MeshConfig& cfg, std::size_t p,
     // avail-bw process at one instant and a burst there flips it — and a
     // flipped verdict early in a binary search never recovers.
     std::size_t n_inc = 0, n_non = 0;
-    for (std::size_t s = 0; s < fleet; ++s) {
-      if (s > 0) mesh.run_until(mesh.now() + probe.inter_stream_gap);
-      const probe::StreamResult res = mesh.send_stream(
-          p, probe::StreamSpec::periodic(rate, probe.packet_size, count),
-          probe.lead_in);
+    for (std::size_t s = 0; s < kStreamsPerFleet; ++s) {
+      if (s > 0) transport.wait(kInterStreamGap);
+      const probe::StreamResult res = transport.send_stream(
+          probe::StreamSpec::periodic(rate, kPacketSize, count), kLeadIn);
       stats::Trend v;
       if (res.lost_count() > res.packets.size() / 10) {
         // A stream that loses packets wholesale overran the tight link.
@@ -318,8 +246,8 @@ est::MeshMeasurement measure_mesh_pair(const MeshConfig& cfg, std::size_t p,
       if (v == stats::Trend::kNonIncreasing) ++n_non;
     }
     stats::Trend t = stats::Trend::kAmbiguous;
-    if (2 * n_inc > fleet) t = stats::Trend::kIncreasing;
-    if (2 * n_non > fleet) t = stats::Trend::kNonIncreasing;
+    if (2 * n_inc > kStreamsPerFleet) t = stats::Trend::kIncreasing;
+    if (2 * n_non > kStreamsPerFleet) t = stats::Trend::kNonIncreasing;
 
     ++verdicts;
     if (t == stats::Trend::kIncreasing) {
@@ -334,7 +262,7 @@ est::MeshMeasurement measure_mesh_pair(const MeshConfig& cfg, std::size_t p,
       hi = std::min(hi, rate + 0.25 * w);
     }
     rate = std::clamp(0.5 * (lo + hi), 0.02 * ct, 0.98 * ct);
-    mesh.run_until(mesh.now() + probe.inter_stream_gap);
+    transport.wait(kInterStreamGap);
   }
 
   est::MeshMeasurement out;

@@ -1,18 +1,22 @@
 // MeshScenario: a network-wide measurement setup over a sim::Topology
 // graph — the generalization of Scenario's two hardwired shapes (one
-// path, one probe session) to M x N source/sink pairs sharing links.
+// path) to M x N source/sink pairs sharing links.  It carries the mesh's
+// background traffic and answers ground-truth queries; it sends no
+// probes.
 //
 // Realization: every topology edge becomes its own single-link sim::Path
 // on ONE shared Simulator.  Per-edge background traffic is one-hop
 // persistent on that path (it exits into the path's cross sink, so the
 // familiar hybrid-fluid envelope — one fluid source per link — holds
-// edge by edge).  End-to-end probe packets carry their PAIR index in
-// flow_id; each path's receiver is an edge-exit forwarder that looks up
-// (edge, pair) in a precomputed next-edge table and either injects the
-// packet into the next edge's path or delivers it to the mesh receiver.
-// Concurrent streams from different pairs therefore genuinely collide in
-// the shared links' queues — the paper's concurrent-measurement pitfall
-// at mesh scale.
+// edge by edge).
+//
+// Measurement: a pair's probes only ever cross its route, and every
+// edge's traffic is a function of the edge index alone, so
+// pair_scenario() rebuilds the route as an ordinary Scenario with the
+// same per-edge sources.  A pair is then measured through
+// Scenario::transport() like any single path — by measure_mesh_pair's
+// rate search or by any registry tool — and its links and ground truth
+// bit-match the mesh's route edges (tests/mesh_test.cpp).
 //
 // Ground truth is the per-pair matrix of Eq. 3 minima over route edges,
 // computed from the same UtilizationMeter timelines single-path
@@ -25,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -33,10 +36,6 @@
 #include "est/mesh.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "probe/receiver_state.hpp"
-#include "probe/session.hpp"
-#include "probe/stream_result.hpp"
-#include "probe/stream_spec.hpp"
 #include "sim/simulator.hpp"
 #include "sim/topology.hpp"
 
@@ -48,7 +47,7 @@ struct MeshConfig {
   /// construction (throws when unreachable).
   sim::Topology topology;
   /// The source->sink pairs under study; pair INDEX in this vector is the
-  /// mesh-wide identity (estimates, ground truth, probe flow_id).
+  /// mesh-wide identity (estimates, ground truth, measurement seeds).
   std::vector<sim::NodePair> pairs;
   /// Offered background rate per edge, bits/s (empty = every edge idle;
   /// otherwise size must equal topology.edge_count()).  Each loaded edge
@@ -63,8 +62,8 @@ struct MeshConfig {
   std::uint64_t seed = 1;
 };
 
-/// A ready-to-probe simulated mesh.  Construction starts the background
-/// traffic and runs the warmup.
+/// A simulated mesh's background traffic and ground truth.  Construction
+/// starts the traffic and runs the warmup.
 class MeshScenario {
  public:
   explicit MeshScenario(const MeshConfig& cfg);
@@ -85,26 +84,10 @@ class MeshScenario {
   sim::SimTime now() const { return sim_.now(); }
   void run_until(sim::SimTime t) { sim_.run_until(t); }
 
-  /// The simulated path realizing edge `e` (single hop: link(0)).
+  /// The simulated path realizing edge `e` (single hop: link(0)).  It
+  /// has no end-to-end receiver; set one before injecting such packets.
   sim::Path& edge_path(std::size_t e) { return *edge_paths_.at(e); }
   const sim::Path& edge_path(std::size_t e) const { return *edge_paths_.at(e); }
-
-  /// Sends one probe stream along pair `p`'s route, starting `lead_in`
-  /// after now, and blocks (running the simulation) until every packet
-  /// arrived or the drain timeout expired.  Dedup/reorder semantics match
-  /// probe::ProbeSession.
-  probe::StreamResult send_stream(std::size_t p, const probe::StreamSpec& spec,
-                                  sim::SimTime lead_in);
-
-  /// Sends the SAME spec simultaneously on several pairs — concurrent
-  /// measurements genuinely contending in shared queues.  Results are in
-  /// `ps` order.
-  std::vector<probe::StreamResult> send_concurrent_streams(
-      const std::vector<std::size_t>& ps, const probe::StreamSpec& spec,
-      sim::SimTime lead_in);
-
-  /// Narrow (minimum) capacity along pair `p`'s route.
-  double pair_narrow_capacity(std::size_t p) const;
 
   /// Configured long-run avail-bw of pair `p`: min over route edges of
   /// capacity minus offered background rate — the design value.
@@ -129,46 +112,33 @@ class MeshScenario {
   std::size_t pair_tight_edge(std::size_t p, sim::SimTime t1,
                               sim::SimTime t2) const;
 
-  /// Total probing cost so far (all pairs).
-  const probe::ProbeCost& cost() const { return cost_; }
-
   /// Wires `sink` into every edge link.  nullptr detaches.
   void set_trace(obs::TraceSink* sink);
 
-  /// Per-edge link counters ("edge.<e>.packets_in", ...), probing totals,
-  /// and the simulator's event count.
+  /// Per-edge link counters ("edge.<e>.packets_in", ...) and the
+  /// simulator's event count.
   void snapshot_metrics(obs::MetricsRegistry& m) const;
 
  private:
-  class EdgeExit;
-  struct ActiveStream {
-    probe::StreamResult* result = nullptr;
-    std::size_t expected = 0;
-    std::size_t received = 0;
-    probe::ReceiverState recv;  // shared dedup/reorder accounting
-  };
-
-  /// Next-edge table sentinels.
-  static constexpr std::int32_t kDeliver = -1;
-  static constexpr std::int32_t kNotRouted = -2;
-
-  void on_edge_exit(std::size_t edge, const sim::Packet& pkt);
-  bool drained() const;
-
   MeshConfig cfg_;
   sim::Topology topo_;  // cfg_.topology plus auto-installed routes
   std::vector<sim::NodePair> pairs_;
   std::vector<std::vector<std::size_t>> routes_;  // per pair, edge indices
   sim::Simulator sim_;
   std::vector<std::unique_ptr<sim::Path>> edge_paths_;
-  std::vector<std::unique_ptr<EdgeExit>> exits_;
   // Background sources; destroyed before the paths they feed.
   CrossTraffic cross_;
-  std::vector<std::vector<std::int32_t>> next_edge_;  // [edge][pair]
-  std::map<std::uint32_t, ActiveStream> active_;      // keyed by stream_id
-  std::uint32_t next_stream_id_ = 1;
-  probe::ProbeCost cost_;
 };
+
+/// Pair `pair` of `cfg` as a stand-alone Scenario: a path of the route's
+/// edge LinkConfigs in route order (auto-routed on a copy of the topology
+/// when the pair has no installed route), each loaded edge carrying the
+/// one-hop source MeshScenario builds for it, warmed up for cfg.warmup.
+/// Its links and ground truth bit-match the mesh's route edges, and it
+/// probes through transport() like any Scenario.  nominal_avail_bw() is
+/// the route's narrow capacity, as for every custom Scenario; the design
+/// value is MeshScenario::nominal_pair_avail_bw().
+Scenario pair_scenario(const MeshConfig& cfg, std::size_t pair);
 
 // --- direct measurement of one mesh pair (the MeshEstimator backend) ----
 
@@ -177,38 +147,28 @@ struct MeshProbeConfig {
   /// Binary-search iterations (one fleet each).  The final bracket width
   /// is roughly narrow_capacity / 2^streams.
   std::size_t streams = 6;
-  /// Streams per fleet: each rate verdict is the majority over this many
-  /// independent streams.  One stream samples the avail-bw process at one
-  /// instant; a burst there flips its verdict, and a flipped verdict
-  /// early in a binary search is unrecoverable.  3 is cheap insurance.
-  std::size_t streams_per_fleet = 3;
   /// Long enough that a persistent queue ramp dominates the OWD trend
   /// over cross-traffic burst transients (50 ms halves the accuracy on
   /// multi-hop routes; see bench/micro_mesh).
   sim::SimTime stream_duration = 100 * sim::kMillisecond;
-  std::uint32_t packet_size = 1500;
-  /// First stream's input rate as a fraction of the route's narrow
-  /// capacity (the search bracket starts at [0, narrow capacity]).
-  double initial_utilization = 0.85;
-  sim::SimTime inter_stream_gap = 20 * sim::kMillisecond;
-  sim::SimTime lead_in = 1 * sim::kMillisecond;
 };
 
-/// Directly measures pair `p` on a fresh replica of `cfg` under `seed`
-/// with an iterative (pathload-style) binary rate search: each stream's
-/// OWD series is classified by the PCT/PDT trend tests and the verdict
-/// halves the bracket.  Mesh routes cross many similarly loaded links,
-/// exactly the regime where the Eq. 9 magnitude under-reads (each
-/// congested hop adds distortion — the paper's multi-hop pitfall), while
-/// the binary "is Ri above A?" verdict stays correct on any hop count.
+/// Directly measures pair `p` on pair_scenario(cfg, p) reseeded with
+/// `seed`, through its probe::Transport, with an iterative
+/// (pathload-style) binary rate search: each stream's OWD series is
+/// classified by the PCT/PDT trend tests and the verdict halves the
+/// bracket.  Mesh routes cross many similarly loaded links, exactly the
+/// regime where the Eq. 9 magnitude under-reads (each congested hop adds
+/// distortion — the paper's multi-hop pitfall), while the binary "is Ri
+/// above A?" verdict stays correct on any hop count.
 /// Returns the bracket midpoint as avail_bps with [low, high] = bracket.
 est::MeshMeasurement measure_mesh_pair(const MeshConfig& cfg, std::size_t p,
                                        std::uint64_t seed,
                                        const MeshProbeConfig& probe);
 
 /// The measurement callback est::MeshEstimator fans across cores: each
-/// invocation builds its own single-pair replica, so calls are safe to
-/// run concurrently and bit-reproducible from (pair, seed) alone.
+/// invocation builds its own pair scenario, so calls are safe to run
+/// concurrently and bit-reproducible from (pair, seed) alone.
 est::MeshMeasureFn make_mesh_measure_fn(MeshConfig cfg, MeshProbeConfig probe);
 
 // --- canonical mesh topologies ------------------------------------------

@@ -88,6 +88,14 @@ MeshReport MeshEstimator::infer(
     const std::vector<MeshMeasurement>& results) const {
   if (probed.size() != results.size())
     throw std::invalid_argument("MeshEstimator::infer: probed/results mismatch");
+  std::vector<char> is_probed(paths_.size(), 0);
+  for (std::size_t p : probed) {
+    if (p >= paths_.size())
+      throw std::invalid_argument("MeshEstimator::infer: pair index out of range");
+    if (is_probed[p])
+      throw std::invalid_argument("MeshEstimator::infer: repeated pair index");
+    is_probed[p] = 1;
+  }
 
   MeshReport report;
   report.pairs.resize(paths_.size());
@@ -124,11 +132,8 @@ MeshReport MeshEstimator::infer(
 
   // Pass 2: measured pairs report their measurement; the rest take the
   // min over their route's known edge bounds.
-  std::vector<char> is_probed(paths_.size(), 0);
   for (std::size_t k = 0; k < probed.size(); ++k) {
-    const std::size_t p = probed[k];
-    is_probed[p] = 1;
-    MeshPairEstimate& est = report.pairs[p];
+    MeshPairEstimate& est = report.pairs[probed[k]];
     est.measured = true;
     const MeshMeasurement& m = results[k];
     if (m.valid) {

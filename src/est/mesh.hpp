@@ -35,8 +35,9 @@
 // slot), so the full report is bit-identical for any --jobs value and any
 // selection outcome.  The estimator is deliberately simulator-agnostic:
 // it sees routes as edge-index lists and measurements through a callback,
-// so the same inference runs against core::MeshScenario replicas today
-// and a live transport backend later.
+// so the same inference runs on simulated pairs (core::pair_scenario,
+// probed through a probe::Transport) and could take measurements made
+// over a live transport unchanged.
 #pragma once
 
 #include <cstddef>
@@ -151,7 +152,8 @@ class MeshEstimator {
 
   /// Inference alone, from externally supplied measurements (`results`
   /// parallel to `probed`).  estimate() delegates here; unit tests drive
-  /// it with synthetic numbers.
+  /// it with synthetic numbers.  Throws std::invalid_argument when the
+  /// sizes differ or a pair index is out of range or repeated.
   MeshReport infer(const std::vector<std::size_t>& probed,
                    const std::vector<MeshMeasurement>& results) const;
 

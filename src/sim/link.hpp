@@ -71,6 +71,8 @@ struct LinkStats {
                                          ///< counted in packets_out when sent)
   std::uint64_t packets_reordered = 0;   ///< departures given extra delay
   std::uint64_t capacity_changes = 0;    ///< set_capacity() calls applied
+
+  bool operator==(const LinkStats&) const = default;
 };
 
 /// A unidirectional store-and-forward link.  Packets handed to `handle()`

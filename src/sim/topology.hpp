@@ -7,10 +7,11 @@
 // network-wide setting where M x N source/sink pairs share links.  A
 // Topology is pure description: nodes, edges (each carrying the familiar
 // LinkConfig), and a validated map from (source, sink) pairs to edge
-// sequences.  The runtime that instantiates simulated links and forwards
-// packets along routes lives in core::MeshScenario; keeping the graph
-// here (sim layer) lets the inference layer (est::MeshEstimator) reason
-// about route overlap without depending on core.
+// sequences.  The runtimes that instantiate simulated links live in
+// core: MeshScenario (every edge, background traffic and ground truth)
+// and pair_scenario (one pair's route as a probed Scenario); keeping the
+// graph here (sim layer) lets the inference layer (est::MeshEstimator)
+// reason about route overlap without depending on core.
 //
 // Determinism contract: routes are stored in a sorted map keyed by
 // (source, sink) and auto_route() breaks BFS ties by the lowest edge

@@ -1,8 +1,8 @@
 // Packet traces: the (timestamp, size) sequences the paper's Figs. 1 and 6
 // are computed from.  A trace can be recorded live off a simulated link or
 // synthesized (synthetic_trace.hpp); either way it feeds AvailBwProcess
-// for ground-truth avail-bw analysis and TraceReplayer for reuse as a
-// workload.
+// for ground-truth avail-bw analysis and, through to_replay(),
+// traffic::TraceGenerator for reuse as a workload.
 #pragma once
 
 #include <cstdint>

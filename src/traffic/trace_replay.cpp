@@ -5,37 +5,6 @@
 
 namespace abw::traffic {
 
-TraceReplayer::TraceReplayer(sim::Simulator& sim, sim::Path& path,
-                             std::size_t entry_hop, bool one_hop,
-                             std::uint32_t flow_id)
-    : sim_(sim), path_(path), entry_hop_(entry_hop), one_hop_(one_hop),
-      flow_id_(flow_id) {
-  if (entry_hop >= path.hop_count())
-    throw std::invalid_argument("TraceReplayer: entry_hop out of range");
-}
-
-std::size_t TraceReplayer::schedule(const std::vector<ReplayRecord>& records) {
-  sim::SimTime prev = -1;
-  for (const auto& rec : records) {
-    if (rec.at < prev) throw std::invalid_argument("TraceReplayer: unsorted trace");
-    prev = rec.at;
-    sim_.at(rec.at, [this, rec] {
-      sim::Packet pkt;
-      pkt.id = sim_.next_packet_id();
-      pkt.type = sim::PacketType::kCross;
-      pkt.size_bytes = rec.size_bytes;
-      pkt.flow_id = flow_id_;
-      pkt.seq = seq_++;
-      pkt.exit_hop =
-          one_hop_ ? static_cast<std::uint32_t>(entry_hop_) : sim::kEndToEnd;
-      pkt.send_time = sim_.now();
-      ++packets_sent_;
-      path_.inject(entry_hop_, pkt);
-    });
-  }
-  return records.size();
-}
-
 namespace {
 // Gap returned once the trace is exhausted: far enough past any horizon
 // to end the active window, small enough that now + gap cannot overflow

@@ -1,13 +1,12 @@
 // Trace replay: inject a recorded (timestamp, size) packet sequence into a
-// path hop.  Lets any experiment swap a synthetic generator for a captured
-// trace with no other changes — the paper's "reproducible and controllable
-// conditions" desideratum (Section 4).
+// path hop through TraceGenerator.  Lets any experiment swap a synthetic
+// generator for a captured trace with no other changes — the paper's
+// "reproducible and controllable conditions" desideratum (Section 4).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "sim/packet.hpp"
 #include "sim/path.hpp"
 #include "sim/simulator.hpp"
 #include "traffic/generator.hpp"
@@ -20,34 +19,11 @@ struct ReplayRecord {
   std::uint32_t size_bytes;
 };
 
-/// Schedules every record of a trace for injection at hop `entry_hop`.
-/// Records must be sorted by time.
-class TraceReplayer {
- public:
-  TraceReplayer(sim::Simulator& sim, sim::Path& path, std::size_t entry_hop,
-                bool one_hop, std::uint32_t flow_id);
-
-  /// Schedules the entire trace (call before running the simulator past
-  /// the first record).  Returns the number of packets scheduled.
-  std::size_t schedule(const std::vector<ReplayRecord>& records);
-
-  std::uint64_t packets_sent() const { return packets_sent_; }
-
- private:
-  sim::Simulator& sim_;
-  sim::Path& path_;
-  std::size_t entry_hop_;
-  bool one_hop_;
-  std::uint32_t flow_id_;
-  std::uint32_t seq_ = 0;
-  std::uint64_t packets_sent_ = 0;
-};
-
-/// The same trace served through the Generator interface instead of
-/// pre-scheduled events, which is what makes a recorded workload usable
-/// in BOTH simulation modes: started, it self-schedules packet events
-/// like any generator; pulled through begin_stream()/fill(), it feeds a
-/// hybrid-mode FluidQueue with zero per-arrival events and zero RNG.
+/// A trace served through the Generator interface, which is what makes a
+/// recorded workload usable in BOTH simulation modes: started, it
+/// self-schedules packet events like any generator; pulled through
+/// begin_stream()/fill(), it feeds a hybrid-mode FluidQueue with zero
+/// per-arrival events and zero RNG.
 /// Records must be nondecreasing in time and must not precede the
 /// activation time t0 (a record before t0 is emitted at t0).
 class TraceGenerator final : public Generator {

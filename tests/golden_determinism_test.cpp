@@ -20,8 +20,10 @@
 #include <cstdlib>
 #include <vector>
 
+#include "core/mesh_scenario.hpp"
 #include "core/parallel_scenario.hpp"
 #include "core/scenario.hpp"
+#include "est/mesh.hpp"
 #include "runner/batch.hpp"
 #include "probe/stream_spec.hpp"
 #include "sim/link.hpp"
@@ -192,6 +194,47 @@ std::uint64_t run_partitioned(std::size_t threads) {
   return d.h;
 }
 
+/// Mesh pair measurements (core/mesh_scenario.hpp): the rate search
+/// MeshEstimator fans out, under the per-pair seeds it derives.  Covers
+/// every 16th pair of the 256-pair hybrid parking lot that micro_mesh
+/// and perfbench resolve, four pairs of the same lot in packet mode, and
+/// four pairs of a hybrid fat tree without pre-installed routes, so the
+/// auto-route path runs inside the measurement.
+std::uint64_t run_mesh_pairs() {
+  Digest d;
+  auto measure = [&d](const core::MeshConfig& mc, std::size_t p) {
+    const est::MeshMeasurement m = core::measure_mesh_pair(
+        mc, p, runner::derive_seed(mc.seed, p), core::MeshProbeConfig{});
+    d.b(m.valid);
+    d.f64(m.avail_bps);
+    d.f64(m.low_bps);
+    d.f64(m.high_bps);
+    d.u64(m.samples);
+  };
+
+  core::ParkingLotMeshConfig pc;
+  pc.backbone_hops = 8;
+  pc.sources = 16;
+  pc.sinks = 16;
+  pc.util_min = 0.50;
+  pc.util_max = 0.60;
+  pc.mode = sim::SimMode::kHybrid;
+  pc.warmup = sim::kSecond;
+  pc.seed = 42;
+  core::MeshConfig lot = core::parking_lot_mesh(pc);
+  lot.topology.auto_route_all(lot.pairs);
+  for (std::size_t p = 0; p < lot.pairs.size(); p += 16) measure(lot, p);
+
+  lot.mode = sim::SimMode::kPacket;
+  for (std::size_t p : {3u, 90u, 165u, 250u}) measure(lot, p);
+
+  core::FatTreeMeshConfig fc;
+  fc.mode = sim::SimMode::kHybrid;
+  const core::MeshConfig tree = core::fat_tree_mesh(fc);
+  for (std::size_t p : {0u, 61u, 122u, 191u}) measure(tree, p);
+  return d.h;
+}
+
 // Digests captured from the pre-PR-2 (std::function heap, per-closure
 // link/generator) implementation; see file header for regeneration.
 constexpr std::uint64_t kGoldenCbr = 0x7b3a580e3bfe9d56ull;
@@ -202,17 +245,24 @@ constexpr std::uint64_t kGoldenParetoGaps = 0x21ae52ecde362251ull;
 // Captured from the serial-equivalent (threads=1) partitioned engine at
 // its introduction; any thread count must keep reproducing it.
 constexpr std::uint64_t kGoldenPdes = 0x9107b28d2d6960cfull;
+// Captured while MeshScenario still forwarded probes edge by edge;
+// measurement on route-only pair scenarios must keep reproducing it.
+constexpr std::uint64_t kGoldenMesh = 0x54f5484d168c5357ull;
 
 bool print_mode() { return std::getenv("ABW_GOLDEN_PRINT") != nullptr; }
 
 void check(const char* name, std::uint64_t got, std::uint64_t want) {
-  if (print_mode()) {
-    std::printf("constexpr std::uint64_t kGolden%s = 0x%016llxull;\n", name,
+  char line[80];
+  std::snprintf(line, sizeof line,
+                "constexpr std::uint64_t kGolden%s = 0x%016llxull;", name,
                 static_cast<unsigned long long>(got));
+  if (print_mode()) {
+    std::printf("%s\n", line);
     return;
   }
   EXPECT_EQ(got, want) << name << " digest changed: the event-queue hot "
-                       << "path no longer reproduces the legacy output";
+                       << "path no longer reproduces the legacy output\n"
+                       << "  got: " << line;
 }
 
 TEST(GoldenDeterminism, SingleHopCbr) {
@@ -243,6 +293,10 @@ TEST(GoldenDeterminism, PartitionedEngineHitsGoldenAtEveryThreadCount) {
       << "2-thread partitioned digest diverged from the serial run";
   EXPECT_EQ(run_partitioned(4), kGoldenPdes)
       << "4-thread partitioned digest diverged from the serial run";
+}
+
+TEST(GoldenDeterminism, MeshPairMeasurements) {
+  check("Mesh", run_mesh_pairs(), kGoldenMesh);
 }
 
 /// Running the same scenario twice in one process must give the same

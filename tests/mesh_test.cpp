@@ -1,14 +1,11 @@
 // Mesh estimation suite (sim/topology.hpp, core/mesh_scenario.hpp,
 // est/mesh.hpp).  The load-bearing properties:
 //
-//  * Degenerate equivalence: a 1-pair chain mesh is bit-identical to the
-//    equivalent stand-alone multi-hop Scenario — same link stats, same
-//    per-packet probe timestamps, same ground truth.  The per-edge-Path
-//    realization adds forwarding hops but zero physics.
-//
-//  * Flow conservation: on a shared link, what arrives is exactly the sum
-//    of the flows routed over it (property-tested over randomized meshes
-//    and randomized concurrent stream sets).
+//  * Route-only equivalence: pair_scenario(cfg, p) — the pair's route as
+//    a stand-alone Scenario — reproduces the mesh's route edges bit for
+//    bit: same per-link stats, same ground truth.  Off-route edges never
+//    touch a pair's measurement, so measuring on the route alone loses
+//    nothing.
 //
 //  * Sublinear probing: the greedy route-overlap cover probes <= 30% of a
 //    256-order fat-tree mesh while covering every route edge, and the
@@ -23,16 +20,13 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <random>
 #include <vector>
 
 #include "core/mesh_scenario.hpp"
 #include "core/scenario.hpp"
 #include "est/mesh.hpp"
-#include "probe/stream_spec.hpp"
 #include "runner/batch.hpp"
 #include "sim/link.hpp"
-#include "sim/packet.hpp"
 #include "sim/path.hpp"
 #include "sim/simulator.hpp"
 #include "sim/topology.hpp"
@@ -191,172 +185,48 @@ TEST(MeshEstimator, InvalidMeasurementFallsBackToInference) {
   EXPECT_EQ(r.route_edges, 2u);
 }
 
-// ---------------------------------------------------------------------------
-// MeshScenario: degenerate equivalence with the stand-alone Scenario
-
-class RecordingReceiver final : public sim::PacketHandler {
- public:
-  RecordingReceiver(sim::Simulator& sim, std::size_t count)
-      : sim_(sim), received_(count, 0) {}
-
-  void handle(sim::Packet pkt) override {
-    if (pkt.type != sim::PacketType::kProbe || pkt.stream_id != 1) return;
-    if (pkt.seq < received_.size() && received_[pkt.seq] == 0)
-      received_[pkt.seq] = sim_.now();
-  }
-
-  const std::vector<sim::SimTime>& received() const { return received_; }
-
- private:
-  sim::Simulator& sim_;
-  std::vector<sim::SimTime> received_;
-};
-
-TEST(MeshScenario, DegenerateChainBitMatchesStandaloneScenario) {
-  constexpr std::size_t kHops = 3;
-  constexpr double kCapacity = 50e6;
-  constexpr double kCrossRate = 25e6;
-  constexpr std::uint64_t kSeed = 7;
-  constexpr sim::SimTime kWarmup = 2 * sim::kSecond;
-  constexpr sim::SimTime kEnd = 6 * sim::kSecond;
-
-  sim::LinkConfig lc;
-  lc.capacity_bps = kCapacity;
-  lc.propagation_delay = sim::kMillisecond;
-  lc.queue_limit_bytes = 2 << 20;
-
-  // Mesh side: a 4-node chain, one pair spanning it.
-  core::MeshConfig mc;
-  for (std::size_t h = 0; h < kHops; ++h) {
-    mc.topology.add_node();
-    if (h == kHops - 1) mc.topology.add_node();
-  }
-  for (std::size_t h = 0; h < kHops; ++h) mc.topology.add_edge(h, h + 1, lc);
-  mc.pairs = {{0, kHops}};
-  mc.edge_cross_rate_bps.assign(kHops, kCrossRate);
-  mc.mode = sim::SimMode::kPacket;
-  mc.model = core::CrossModel::kPoisson;
-  mc.warmup = kWarmup;
-  mc.seed = kSeed;
-  core::MeshScenario mesh(mc);
-
-  // Stand-alone side: one 3-hop Path, cross sources built with the SAME
-  // per-edge seed derivation the mesh uses.
-  core::Scenario sc =
-      core::Scenario::custom(std::vector<sim::LinkConfig>(kHops, lc), kSeed);
-  for (std::size_t h = 0; h < kHops; ++h) {
-    core::CrossSpec cspec;
-    cspec.model = core::CrossModel::kPoisson;
-    cspec.rate_bps = kCrossRate;
-    cspec.capacity_bps = kCapacity;
-    sc.add_cross_source(
-        core::make_cross_generator(
-            sc.simulator(), sc.path(), h, /*one_hop=*/true,
-            1000 + static_cast<std::uint32_t>(h),
-            stats::Rng(runner::derive_seed(kSeed, h)), cspec.model,
-            cspec.rate_bps, cspec.packet_size, cspec.trimodal,
-            cspec.onoff_peak, cspec.capacity_bps),
-        h, /*one_hop=*/true, 1000 + static_cast<std::uint32_t>(h),
-        sim::SimMode::kPacket, 600 * sim::kSecond);
-  }
-  sc.simulator().run_until(kWarmup);
-
-  // Identical probe stream through both, at the same absolute times.
-  const probe::StreamSpec pspec = probe::StreamSpec::periodic(30e6, 1500, 60);
-  const probe::StreamResult mres =
-      mesh.send_stream(0, pspec, sim::kMillisecond);
-
-  RecordingReceiver rx(sc.simulator(), pspec.size());
-  sc.path().set_receiver(&rx);
-  const sim::SimTime start = sc.simulator().now() + sim::kMillisecond;
-  sim::Simulator* sim = &sc.simulator();
-  sim::Path* path = &sc.path();
-  for (std::size_t k = 0; k < pspec.packets.size(); ++k) {
-    const probe::ProbePacketSpec& pp = pspec.packets[k];
-    const std::uint32_t sz = pp.size_bytes;
-    const auto seq = static_cast<std::uint32_t>(k);
-    sim->at(start + pp.offset, [sim, path, sz, seq] {
-      sim::Packet pkt;
-      pkt.id = sim->next_packet_id();
-      pkt.type = sim::PacketType::kProbe;
-      pkt.measurement = true;
-      pkt.size_bytes = sz;
-      pkt.flow_id = 0;
-      pkt.stream_id = 1;
-      pkt.seq = seq;
-      pkt.send_time = sim->now();
-      path->inject(0, pkt);
-    });
-  }
-
-  mesh.run_until(kEnd);
-  sc.simulator().run_until(kEnd);
-
-  // Per-packet probe timestamps bit-match.
-  ASSERT_EQ(mres.packets.size(), rx.received().size());
-  for (std::size_t k = 0; k < mres.packets.size(); ++k) {
-    ASSERT_FALSE(mres.packets[k].lost) << "seq " << k;
-    EXPECT_EQ(mres.packets[k].received, rx.received()[k]) << "seq " << k;
-  }
-
-  // Per-link physics bit-match.
-  for (std::size_t h = 0; h < kHops; ++h) {
-    const sim::LinkStats& ms = mesh.edge_path(h).link(0).stats();
-    const sim::LinkStats& ss = sc.path().link(h).stats();
-    EXPECT_EQ(ms.packets_in, ss.packets_in) << "hop " << h;
-    EXPECT_EQ(ms.packets_out, ss.packets_out) << "hop " << h;
-    EXPECT_EQ(ms.packets_dropped, ss.packets_dropped) << "hop " << h;
-    EXPECT_EQ(ms.bytes_in, ss.bytes_in) << "hop " << h;
-    EXPECT_EQ(ms.bytes_out, ss.bytes_out) << "hop " << h;
-  }
-
-  // Ground truth bit-matches (same meters, same Eq. 3 minimum).
-  const double mesh_gt = mesh.pair_ground_truth(0, kWarmup, kEnd);
-  const double sc_gt = sc.ground_truth(kWarmup, kEnd);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(mesh_gt),
-            std::bit_cast<std::uint64_t>(sc_gt));
+TEST(MeshEstimator, InferRejectsBadPairIndices) {
+  est::MeshEstimator est({spec_of({0, 1}), spec_of({1})},
+                         {.max_probe_fraction = 1.0, .base_seed = 1});
+  EXPECT_THROW(est.infer({2}, {meas(10.0)}), std::invalid_argument);
+  // A repeated pair would count its route's support twice.
+  EXPECT_THROW(est.infer({1, 1}, {meas(10.0), meas(20.0)}),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
-// Flow conservation on shared links
+// pair_scenario: a pair's route alone reproduces the mesh's route edges
 
-TEST(MeshScenario, SharedLinkLoadIsSumOfRoutedFlows) {
-  std::mt19937 rng(20260808);
-  for (int iter = 0; iter < 3; ++iter) {
+TEST(MeshScenario, PairScenarioMatchesMeshEdges) {
+  for (sim::SimMode mode : {sim::SimMode::kHybrid, sim::SimMode::kPacket}) {
+    // micro_mesh's 256-pair parking lot, routes left to auto-routing.
     core::ParkingLotMeshConfig pc;
-    pc.backbone_hops = 4 + static_cast<std::size_t>(rng() % 4);  // 4..7
-    pc.sources = 2 + static_cast<std::size_t>(rng() % 3);        // 2..4
-    pc.sinks = 2 + static_cast<std::size_t>(rng() % 3);
-    pc.util_min = 0.0;  // background off: conservation is exact counts
-    pc.util_max = 0.0;
-    pc.mode = sim::SimMode::kPacket;
+    pc.backbone_hops = 8;
+    pc.sources = 16;
+    pc.sinks = 16;
+    pc.util_min = 0.50;
+    pc.util_max = 0.60;
+    pc.mode = mode;
     pc.warmup = sim::kSecond;
-    pc.seed = 1 + iter;
-    core::MeshScenario mesh(core::parking_lot_mesh(pc));
+    pc.seed = 42;
+    const core::MeshConfig mc = core::parking_lot_mesh(pc);
+    const sim::SimTime t1 = mc.warmup;
+    const sim::SimTime t2 = t1 + 4 * sim::kSecond;
+    core::MeshScenario mesh(mc);
+    mesh.run_until(t2);
 
-    // A random subset of pairs probes concurrently.
-    std::vector<std::size_t> all(mesh.pair_count());
-    for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-    std::shuffle(all.begin(), all.end(), rng);
-    const std::size_t n = 2 + rng() % (all.size() - 1);
-    std::vector<std::size_t> chosen(all.begin(),
-                                    all.begin() + std::min(n, all.size()));
-
-    constexpr std::size_t kCount = 40;
-    const probe::StreamSpec spec = probe::StreamSpec::periodic(5e6, 1000, kCount);
-    auto results = mesh.send_concurrent_streams(chosen, spec, sim::kMillisecond);
-    for (const auto& r : results) EXPECT_TRUE(r.complete());
-
-    // Every edge carried exactly the sum of the streams routed over it.
-    const sim::Topology& topo = mesh.topology();
-    std::vector<std::uint64_t> expected(topo.edge_count(), 0);
-    for (std::size_t p : chosen)
-      for (std::size_t e : mesh.pair_route(p)) expected[e] += kCount;
-    for (std::size_t e = 0; e < topo.edge_count(); ++e) {
-      const sim::LinkStats& s = mesh.edge_path(e).link(0).stats();
-      EXPECT_EQ(s.packets_in, expected[e]) << "edge " << e << " iter " << iter;
-      EXPECT_EQ(s.bytes_in, expected[e] * 1000) << "edge " << e;
-      EXPECT_EQ(s.packets_dropped, 0u) << "edge " << e;
+    for (std::size_t p = 0; p < mesh.pair_count(); p += 17) {
+      core::Scenario sc = core::pair_scenario(mc, p);
+      sc.simulator().run_until(t2);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(sc.ground_truth(t1, t2)),
+                std::bit_cast<std::uint64_t>(mesh.pair_ground_truth(p, t1, t2)))
+          << "pair " << p;
+      const std::vector<std::size_t>& route = mesh.pair_route(p);
+      ASSERT_EQ(sc.path().hop_count(), route.size()) << "pair " << p;
+      for (std::size_t h = 0; h < route.size(); ++h)
+        EXPECT_TRUE(sc.path().link(h).stats() ==
+                    mesh.edge_path(route[h]).link(0).stats())
+            << "pair " << p << " hop " << h;
     }
   }
 }

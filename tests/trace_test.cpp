@@ -244,8 +244,8 @@ TEST(SyntheticTrace, ReplayReproducesUtilization) {
   sim::Path path(simu, {lc});
   sim::CountingSink sink;
   path.set_receiver(&sink);
-  traffic::TraceReplayer rep(simu, path, 0, false, 1);
-  rep.schedule(tr.to_replay());
+  traffic::TraceGenerator gen(simu, path, 0, false, 1, tr.to_replay());
+  gen.start(0, 2 * cfg.duration);
   simu.run_until_idle();
 
   double sim_util = path.link(0).meter().utilization(0, cfg.duration);

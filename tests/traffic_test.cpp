@@ -299,22 +299,23 @@ TEST(TraceReplay, InjectsExactlyTheRecords) {
     arrivals.push_back(t);
     sizes.push_back(p.size_bytes);
   });
-  traffic::TraceReplayer rep(f.simu, f.path, 0, false, 9);
-  std::vector<traffic::ReplayRecord> recs = {
-      {10 * kMillisecond, 100}, {20 * kMillisecond, 200}, {21 * kMillisecond, 300}};
-  EXPECT_EQ(rep.schedule(recs), 3u);
+  traffic::TraceGenerator gen(
+      f.simu, f.path, 0, false, 9,
+      {{10 * kMillisecond, 100}, {20 * kMillisecond, 200}, {21 * kMillisecond, 300}});
+  EXPECT_EQ(gen.trace_size(), 3u);
+  gen.start(0, kSecond);
   f.simu.run_until(kSecond);
   ASSERT_EQ(arrivals.size(), 3u);
   EXPECT_EQ(arrivals[0], 10 * kMillisecond);
   EXPECT_EQ(sizes[2], 300u);
-  EXPECT_EQ(rep.packets_sent(), 3u);
+  EXPECT_EQ(gen.packets_sent(), 3u);
 }
 
 TEST(TraceReplay, RejectsUnsortedTrace) {
   Fixture f;
-  traffic::TraceReplayer rep(f.simu, f.path, 0, false, 9);
-  std::vector<traffic::ReplayRecord> recs = {{20, 100}, {10, 100}};
-  EXPECT_THROW(rep.schedule(recs), std::invalid_argument);
+  EXPECT_THROW(traffic::TraceGenerator(f.simu, f.path, 0, false, 9,
+                                       {{20, 100}, {10, 100}}),
+               std::invalid_argument);
 }
 
 // ------------------------------------------------------- conservation ---
