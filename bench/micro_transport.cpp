@@ -3,7 +3,7 @@
 // around whole measurement sessions.
 //
 // Writes BENCH_transport.json (google-benchmark JSON shape, hand-timed
-// min-of-reps rows like micro_pdes) gated against
+// min-of-reps rows like micro_mesh) gated against
 // bench/BENCH_transport.baseline.json via `transport_check` /
 // `bench_check`.  Rows:
 //

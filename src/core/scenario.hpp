@@ -38,10 +38,9 @@ enum class CrossModel {
 const char* to_string(CrossModel m);
 
 /// Builds one cross-traffic generator of `model` against (sim, path):
-/// the factory behind every scenario topology (and ParallelScenario's
-/// per-domain construction).  `one_hop` selects one-hop-persistent
-/// routing, `trimodal` the 40/576/1500 Poisson size mix, `onoff_peak`
-/// the Pareto ON rate (0 = capacity).
+/// the factory behind every scenario topology.  `one_hop` selects
+/// one-hop-persistent routing, `trimodal` the 40/576/1500 Poisson size
+/// mix, `onoff_peak` the Pareto ON rate (0 = capacity).
 std::unique_ptr<traffic::Generator> make_cross_generator(
     sim::Simulator& sim, sim::Path& path, std::size_t hop, bool one_hop,
     std::uint32_t flow_id, stats::Rng rng, CrossModel model, double rate_bps,
@@ -61,8 +60,8 @@ struct CrossSpec {
 };
 
 /// Owns the cross-traffic sources of a scenario and funnels every
-/// topology's construction — single-hop, multi-hop, partitioned domains,
-/// mesh edges — through ONE factory path: build the generator, then
+/// topology's construction — single-hop, multi-hop, mesh edges, custom
+/// pair routes — through ONE factory path: build the generator, then
 /// either wrap it in a HybridCrossSource (SimMode::kHybrid) or start it
 /// as a discrete event source.  Before this class each scenario carried
 /// its own copy of that wrap-or-start branch; mode-handling bugs had to

@@ -1,8 +1,7 @@
 // ReceiverState: the one copy of per-stream receive accounting — dedup by
 // sequence number, reorder detection against the highest seq seen — shared
-// by every receiving endpoint: probe::ProbeSession (simulated paths, mesh
-// pairs included), core::ParallelScenario (partitioned stream loop), and
-// the live UDP daemon (net/daemon.hpp).
+// by both receiving endpoints: probe::ProbeSession (simulated paths, mesh
+// pairs included) and the live UDP daemon (net/daemon.hpp).
 //
 // The semantics are ProbeSession::on_probe's, bit-for-bit: a second
 // arrival for an already-received seq counts as a duplicate and keeps the

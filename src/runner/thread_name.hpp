@@ -1,9 +1,8 @@
 // Portable thread naming, so perf/TSAN/trace output is attributable.
 //
-// Both worker families in the library go through this helper: the batch
-// runner's pool workers ("abw-batch-N") and the intra-simulation domain
-// workers ("abw-dom-N", sim/domain.hpp).  Naming is best-effort — on
-// platforms without a setname call it is a no-op and never an error.
+// The batch runner's pool workers ("abw-batch-N", runner/thread_pool.hpp)
+// are named through this helper.  Naming is best-effort — on platforms
+// without a setname call it is a no-op and never an error.
 #pragma once
 
 #include <cstddef>

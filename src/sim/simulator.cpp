@@ -1,6 +1,5 @@
 #include "sim/simulator.hpp"
 
-#include <stdexcept>
 #include <utility>
 
 namespace abw::sim {
@@ -23,15 +22,6 @@ void Simulator::run_until(SimTime t) {
   obs::ScopedTimer timer(metrics_, kDrainTimer);
   while (!scheduler_.empty() && scheduler_.next_time_unchecked() <= t) step();
   if (now_ < t) now_ = t;
-  if (metrics_) metrics_->counter("sim.events").set(events_processed_);
-}
-
-void Simulator::run_window(SimTime end) {
-  if (end < now_)
-    throw std::logic_error("Simulator::run_window: window end in the past");
-  obs::ScopedTimer timer(metrics_, kDrainTimer);
-  while (!scheduler_.empty() && scheduler_.next_time_unchecked() < end) step();
-  now_ = end;
   if (metrics_) metrics_->counter("sim.events").set(events_processed_);
 }
 

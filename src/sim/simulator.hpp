@@ -44,14 +44,6 @@ class Simulator {
   /// the clock is left at min(t, last event time processed ... t).
   void run_until(SimTime t);
 
-  /// Conservative-window drain (parallel DES, sim/domain.hpp): runs every
-  /// event with time strictly BEFORE `end`, then advances the clock to
-  /// `end`.  Events at exactly `end` belong to the next window — the
-  /// strict bound is what makes time-window synchronization associative
-  /// (a window split into two back-to-back run_window calls executes the
-  /// identical event sequence).  Requires end >= now().
-  void run_window(SimTime end);
-
   /// Runs until no events remain.
   void run_until_idle();
 

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "core/mesh_scenario.hpp"
-#include "core/parallel_scenario.hpp"
 #include "core/scenario.hpp"
 #include "est/mesh.hpp"
 #include "runner/batch.hpp"
@@ -155,45 +154,6 @@ std::uint64_t run_pareto_gaps() {
   return d.h;
 }
 
-/// Partitioned-engine run (sim/domain.hpp): the same multi-hop physics
-/// driven by the conservative parallel DES in lockstep windows.  The
-/// digest covers per-packet probe timestamps, every global link's
-/// counters, the ground truth, and the per-domain event/handoff
-/// accounting, and must be reproduced at every worker-thread count.
-std::uint64_t run_partitioned(std::size_t threads) {
-  core::ParallelScenarioConfig cfg;
-  cfg.hop_count = 6;
-  cfg.loaded_hops = {0, 2, 4};
-  cfg.cross_rate_bps = 25e6;
-  cfg.model = core::CrossModel::kPoisson;
-  cfg.propagation_delay = 5 * sim::kMillisecond;
-  cfg.traffic_horizon = 5 * sim::kSecond;
-  cfg.warmup = 200 * sim::kMillisecond;
-  cfg.seed = 11;
-  cfg.cuts = {1, 3};  // 3 domains
-  cfg.threads = threads;
-  core::ParallelScenario sc(cfg);
-
-  Digest d;
-  for (int k = 0; k < 4; ++k) {
-    auto res =
-        sc.send_periodic_stream(15e6 + 4e6 * k, 1500, 50, sim::kMillisecond);
-    for (const auto& p : res.packets) {
-      d.u64(static_cast<std::uint64_t>(p.sent));
-      d.u64(static_cast<std::uint64_t>(p.received));
-      d.b(p.lost);
-    }
-    d.f64(res.output_rate_bps());
-  }
-  for (std::size_t g = 0; g < sc.parallel().hop_count(); ++g)
-    digest_link(d, sc.parallel().link(g));
-  d.f64(sc.ground_truth(100 * sim::kMillisecond, sc.now()));
-  for (std::size_t dm = 0; dm < sc.parallel().domain_count(); ++dm)
-    d.u64(sc.parallel().domain(dm).stats().events);
-  d.u64(sc.parallel().handoffs());
-  return d.h;
-}
-
 /// Mesh pair measurements (core/mesh_scenario.hpp): the rate search
 /// MeshEstimator fans out, under the per-pair seeds it derives.  Covers
 /// every 16th pair of the 256-pair hybrid parking lot that micro_mesh
@@ -242,9 +202,6 @@ constexpr std::uint64_t kGoldenPoisson = 0xcb0a09e09da11eccull;
 constexpr std::uint64_t kGoldenParetoOnOff = 0x4c25048f590c8407ull;
 constexpr std::uint64_t kGoldenMultiHop = 0x192d95669f8bae90ull;
 constexpr std::uint64_t kGoldenParetoGaps = 0x21ae52ecde362251ull;
-// Captured from the serial-equivalent (threads=1) partitioned engine at
-// its introduction; any thread count must keep reproducing it.
-constexpr std::uint64_t kGoldenPdes = 0x9107b28d2d6960cfull;
 // Captured while MeshScenario still forwarded probes edge by edge;
 // measurement on route-only pair scenarios must keep reproducing it.
 constexpr std::uint64_t kGoldenMesh = 0x54f5484d168c5357ull;
@@ -284,15 +241,6 @@ TEST(GoldenDeterminism, MultiHopPoisson) {
 
 TEST(GoldenDeterminism, ParetoGapSource) {
   check("ParetoGaps", run_pareto_gaps(), kGoldenParetoGaps);
-}
-
-TEST(GoldenDeterminism, PartitionedEngineHitsGoldenAtEveryThreadCount) {
-  check("Pdes", run_partitioned(1), kGoldenPdes);
-  if (print_mode()) return;
-  EXPECT_EQ(run_partitioned(2), kGoldenPdes)
-      << "2-thread partitioned digest diverged from the serial run";
-  EXPECT_EQ(run_partitioned(4), kGoldenPdes)
-      << "4-thread partitioned digest diverged from the serial run";
 }
 
 TEST(GoldenDeterminism, MeshPairMeasurements) {

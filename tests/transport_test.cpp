@@ -1,7 +1,7 @@
 // The transport-redesign suite (label: live).
 //
 //  * probe::ReceiverState — the ONE dedup/reorder accounting shared by
-//    ProbeSession, ParallelScenario, and the live daemon.
+//    ProbeSession and the live daemon.
 //  * SimTransport bit-identity: every tool run through the scenario's
 //    Transport must produce byte-identical results (Estimate::to_json)
 //    to a SimTransport built locally over the scenario's ProbeSession.
