@@ -52,7 +52,7 @@ int main() {
   auto sc = core::Scenario::custom(links, 66);
   sc.add_cross_source(
       std::make_unique<traffic::TraceGenerator>(sc.simulator(), sc.path(), 0,
-                                                false, 1, tr.to_replay()),
+                                                false, 1, tr.records()),
       0, false, 1, sim::SimMode::kPacket, 600 * sim::kSecond);
   sc.simulator().run_until(sim::kSecond);
 

@@ -19,20 +19,15 @@
 // introspection the seed does not have — which is how the committed
 // baseline's `seed` numbers were produced.
 // In addition to the google-benchmark suite, main() runs the fig1/fig3
-// hybrid-vs-packet comparison workloads and the SIMD-vs-scalar FluidQueue
-// bulk-absorb kernel, and writes BENCH_fluid.json (same JSON shape),
-// gated by bench/BENCH_fluid.baseline.json through the same
-// check_regression.py.  Rows:
+// hybrid-vs-packet comparison workloads and the FluidQueue absorb kernel,
+// and writes BENCH_fluid.json (same JSON shape), gated by
+// bench/BENCH_fluid.baseline.json through the same check_regression.py.
+// Rows:
 //
 //   FLUID_fig1_ground_truth / FLUID_fig3_response_curve
 //       items_per_second = packet_s / hybrid_s (wall-clock speedup).
-//   FLUID_absorb_scalar / FLUID_absorb_simd
-//       items_per_second = fluid arrivals retired per wall second with
-//       the bulk path off / on.
-//   FLUID_simd_speedup
-//       items_per_second = scalar_s / simd_s — the SIMD win itself, so a
-//       vectorization regression fails the gate even if absolute
-//       throughput drifts with the machine.
+//   FLUID_absorb
+//       items_per_second = fluid arrivals retired per wall second.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -279,11 +274,7 @@ std::vector<traffic::ReplayRecord> make_fig1_trace() {
   trace::SyntheticTraceConfig tc;
   tc.duration = 121 * sim::kSecond;
   stats::Rng rng(42);
-  trace::PacketTrace pt = trace::synthesize_selfsimilar_trace(tc, rng);
-  std::vector<traffic::ReplayRecord> recs;
-  recs.reserve(pt.size());
-  for (const auto& rec : pt.records()) recs.push_back({rec.at, rec.size_bytes});
-  return recs;
+  return trace::synthesize_selfsimilar_trace(tc, rng).records();
 }
 
 // Fig. 3 workload: an Ro/Ri response curve against a high-pps CBR
@@ -335,21 +326,19 @@ auto min_of_reps(Key key, Fn&& run, int reps = 3) {
   return best;
 }
 
-// ------------------------------------------- SIMD-vs-scalar bulk absorb ---
+// -------------------------------------------------------- fluid absorb ---
 
 struct AbsorbRun {
   double seconds = 0.0;
   std::uint64_t packets = 0;
-  std::uint64_t check = 0;  // bytes_out: must match across variants
+  std::uint64_t check = 0;  // bytes_out: must match across repetitions
 };
 
 // One long Poisson arrival schedule at high load (long busy runs, so the
 // run-retirement path owns most of the work) with the trimodal internet
 // size mix, absorbed in pump-sized chunks.  The mixed sizes matter: they
-// are what real generator workloads feed absorb, and they are the case
-// where per-packet serialization-time lookups cost the scalar path the
-// most.
-AbsorbRun run_absorb(bool vectorized) {
+// are what real generator workloads feed absorb.
+AbsorbRun run_absorb() {
   constexpr std::size_t kChunk = 1024;
   constexpr int kChunks = 400;
 
@@ -362,7 +351,6 @@ AbsorbRun run_absorb(bool vectorized) {
   sim::CountingSink sink;
   path.set_receiver(&sink);
   sim::FluidQueue& fq = path.link(0).enable_fluid();
-  fq.set_vectorized(vectorized);
   fq.reset(0);
 
   std::mt19937 rng(99);
@@ -396,8 +384,8 @@ AbsorbRun run_absorb(bool vectorized) {
   return r;
 }
 
-// Runs both workloads in both modes plus the absorb kernel both ways and
-// writes BENCH_fluid.json (google-benchmark JSON shape; items_per_second
+// Runs both workloads in both modes plus the absorb kernel and writes
+// BENCH_fluid.json (google-benchmark JSON shape; items_per_second
 // carries the gated value so check_regression.py reads it unchanged).
 void run_fluid_comparison() {
   struct Row {
@@ -414,25 +402,7 @@ void run_fluid_comparison() {
        min_of_reps(kAbw, [] { return run_fig3_workload(sim::SimMode::kPacket); }),
        min_of_reps(kAbw, [] { return run_fig3_workload(sim::SimMode::kHybrid); })},
   };
-  const AbsorbRun scalar =
-      min_of_reps(&AbsorbRun::check, [] { return run_absorb(false); }, 5);
-  const AbsorbRun simd =
-      min_of_reps(&AbsorbRun::check, [] { return run_absorb(true); }, 5);
-  if (scalar.check != simd.check)
-    std::fprintf(stderr, "micro_sim: WARNING: SIMD absorb diverged from "
-                         "scalar (bytes_out %llu vs %llu)\n",
-                 static_cast<unsigned long long>(simd.check),
-                 static_cast<unsigned long long>(scalar.check));
-  struct AbsorbRow {
-    const char* name;
-    double items_per_second;
-    double real_s;
-  };
-  const AbsorbRow absorb_rows[] = {
-      {"FLUID_absorb_scalar", scalar.packets / scalar.seconds, scalar.seconds},
-      {"FLUID_absorb_simd", simd.packets / simd.seconds, simd.seconds},
-      {"FLUID_simd_speedup", scalar.seconds / simd.seconds, simd.seconds},
-  };
+  const AbsorbRun absorb = min_of_reps(&AbsorbRun::check, run_absorb, 5);
 
   std::FILE* f = std::fopen("BENCH_fluid.json", "w");
   if (f == nullptr) {
@@ -442,8 +412,7 @@ void run_fluid_comparison() {
   std::fprintf(f, "{\n  \"context\": {\"note\": "
                   "\"FLUID_fig*: items_per_second = packet_s / hybrid_s "
                   "(wall-clock speedup), abw_rel_err = |hybrid - packet| / "
-                  "packet; FLUID_absorb_*: arrivals retired per second; "
-                  "FLUID_simd_speedup: scalar_s / simd_s\"},\n"
+                  "packet; FLUID_absorb: arrivals retired per second\"},\n"
                   "  \"benchmarks\": [\n");
   for (std::size_t i = 0; i < 2; ++i) {
     const Row& row = rows[i];
@@ -472,19 +441,15 @@ void run_fluid_comparison() {
       std::fprintf(stderr, "micro_sim: WARNING: %s avail-bw diverges %.2f%% "
                            "from packet mode\n", row.name, rel_err * 100.0);
   }
-  constexpr std::size_t kAbsorbRows = sizeof(absorb_rows) / sizeof(absorb_rows[0]);
-  for (std::size_t i = 0; i < kAbsorbRows; ++i) {
-    const AbsorbRow& row = absorb_rows[i];
-    std::fprintf(
-        f,
-        "    {\"name\": \"%s\", \"run_type\": \"iteration\", "
-        "\"iterations\": 1, \"real_time\": %.6e, \"cpu_time\": %.6e, "
-        "\"time_unit\": \"ns\", \"items_per_second\": %.6f}%s\n",
-        row.name, row.real_s * 1e9, row.real_s * 1e9, row.items_per_second,
-        i + 1 < kAbsorbRows ? "," : "");
-    std::printf("%-28s %14.3f items/s  (%.4f s)\n", row.name,
-                row.items_per_second, row.real_s);
-  }
+  const double absorb_rate = absorb.packets / absorb.seconds;
+  std::fprintf(
+      f,
+      "    {\"name\": \"FLUID_absorb\", \"run_type\": \"iteration\", "
+      "\"iterations\": 1, \"real_time\": %.6e, \"cpu_time\": %.6e, "
+      "\"time_unit\": \"ns\", \"items_per_second\": %.6f}\n",
+      absorb.seconds * 1e9, absorb.seconds * 1e9, absorb_rate);
+  std::printf("%-28s %14.3f items/s  (%.4f s)\n", "FLUID_absorb",
+              absorb_rate, absorb.seconds);
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
 }

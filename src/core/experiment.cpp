@@ -100,36 +100,6 @@ std::vector<double> collect_pair_samples(Scenario& sc, double tight_capacity_bps
   return samples;
 }
 
-std::vector<std::vector<double>> collect_direct_samples_batch(
-    const std::function<Scenario(std::uint64_t seed)>& make_scenario,
-    double tight_capacity_bps, double input_rate_bps,
-    sim::SimTime stream_duration, std::uint32_t packet_size,
-    std::size_t count_per_replication, sim::SimTime inter_stream_gap,
-    std::size_t replications, std::uint64_t base_seed, std::size_t jobs) {
-  runner::BatchRunner batch(jobs);
-  return batch.map_seeded(
-      replications, base_seed, [&](std::size_t, std::uint64_t seed) {
-        Scenario sc = make_scenario(seed);
-        return collect_direct_samples(sc, tight_capacity_bps, input_rate_bps,
-                                      stream_duration, packet_size,
-                                      count_per_replication, inter_stream_gap);
-      });
-}
-
-std::vector<std::vector<double>> collect_pair_samples_batch(
-    const std::function<Scenario(std::uint64_t seed)>& make_scenario,
-    double tight_capacity_bps, std::uint32_t packet_size,
-    std::size_t count_per_replication, sim::SimTime mean_pair_gap,
-    std::size_t replications, std::uint64_t base_seed, std::size_t jobs) {
-  runner::BatchRunner batch(jobs);
-  return batch.map_seeded(
-      replications, base_seed, [&](std::size_t, std::uint64_t seed) {
-        Scenario sc = make_scenario(seed);
-        return collect_pair_samples(sc, tight_capacity_bps, packet_size,
-                                    count_per_replication, mean_pair_gap);
-      });
-}
-
 probe::StreamResult capture_stream(Scenario& sc, double rate_bps,
                                    std::uint32_t packet_size,
                                    std::size_t packet_count) {

@@ -65,26 +65,6 @@ std::vector<double> collect_pair_samples(Scenario& sc, double tight_capacity_bps
                                          std::size_t count,
                                          sim::SimTime mean_pair_gap);
 
-/// Parallel replication of `collect_direct_samples`: replication r runs in
-/// its own fresh scenario built with `make_scenario(derive_seed(base_seed,
-/// r))` on a runner::BatchRunner with `jobs` threads (0 =
-/// runner::default_jobs()).  Returns the per-replication sample vectors in
-/// replication order — bit-identical for every thread count.
-std::vector<std::vector<double>> collect_direct_samples_batch(
-    const std::function<Scenario(std::uint64_t seed)>& make_scenario,
-    double tight_capacity_bps, double input_rate_bps,
-    sim::SimTime stream_duration, std::uint32_t packet_size,
-    std::size_t count_per_replication, sim::SimTime inter_stream_gap,
-    std::size_t replications, std::uint64_t base_seed, std::size_t jobs = 0);
-
-/// Parallel replication of `collect_pair_samples`; same contract as
-/// `collect_direct_samples_batch`.
-std::vector<std::vector<double>> collect_pair_samples_batch(
-    const std::function<Scenario(std::uint64_t seed)>& make_scenario,
-    double tight_capacity_bps, std::uint32_t packet_size,
-    std::size_t count_per_replication, sim::SimTime mean_pair_gap,
-    std::size_t replications, std::uint64_t base_seed, std::size_t jobs = 0);
-
 /// Sends one periodic stream and returns the receiver's full result
 /// (Fig. 5 needs the raw OWD series).
 probe::StreamResult capture_stream(Scenario& sc, double rate_bps,

@@ -124,9 +124,7 @@ Scenario pair_scenario(const MeshConfig& cfg, std::size_t pair) {
     const auto h = static_cast<std::size_t>(hop - route->begin());
     sc.add_cross_source(
         make_cross_generator(sc.simulator(), sc.path(), h, /*one_hop=*/true,
-                             edge_flow_id(e), edge_rng(cfg, e), spec.model,
-                             spec.rate_bps, spec.packet_size, spec.trimodal,
-                             spec.onoff_peak, spec.capacity_bps),
+                             edge_flow_id(e), edge_rng(cfg, e), spec),
         h, /*one_hop=*/true, edge_flow_id(e), cfg.mode, cfg.traffic_horizon);
   }
   sc.simulator().run_until(cfg.warmup);

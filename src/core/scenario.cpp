@@ -25,26 +25,26 @@ Scenario::Scenario(std::uint64_t seed)
 
 std::unique_ptr<traffic::Generator> make_cross_generator(
     sim::Simulator& sim, sim::Path& path, std::size_t hop, bool one_hop,
-    std::uint32_t flow_id, stats::Rng rng, CrossModel model, double rate_bps,
-    std::uint32_t packet_size, bool trimodal, double onoff_peak,
-    double capacity_bps) {
-  switch (model) {
+    std::uint32_t flow_id, stats::Rng rng, const CrossSpec& spec) {
+  switch (spec.model) {
     case CrossModel::kCbr:
       return std::make_unique<traffic::CbrGenerator>(
-          sim, path, hop, one_hop, flow_id, std::move(rng), rate_bps, packet_size);
+          sim, path, hop, one_hop, flow_id, std::move(rng), spec.rate_bps,
+          spec.packet_size);
     case CrossModel::kPoisson: {
       traffic::SizeDistribution sizes =
-          trimodal ? traffic::SizeDistribution::internet_mix()
-                   : traffic::SizeDistribution::fixed(packet_size);
+          spec.trimodal ? traffic::SizeDistribution::internet_mix()
+                        : traffic::SizeDistribution::fixed(spec.packet_size);
       return std::make_unique<traffic::PoissonGenerator>(
-          sim, path, hop, one_hop, flow_id, std::move(rng), rate_bps,
+          sim, path, hop, one_hop, flow_id, std::move(rng), spec.rate_bps,
           std::move(sizes));
     }
     case CrossModel::kParetoOnOff: {
       traffic::ParetoOnOffConfig oc;
-      oc.mean_rate_bps = rate_bps;
-      oc.peak_rate_bps = onoff_peak > 0.0 ? onoff_peak : capacity_bps;
-      oc.packet_size = packet_size;
+      oc.mean_rate_bps = spec.rate_bps;
+      oc.peak_rate_bps =
+          spec.onoff_peak > 0.0 ? spec.onoff_peak : spec.capacity_bps;
+      oc.packet_size = spec.packet_size;
       return std::make_unique<traffic::ParetoOnOffGenerator>(
           sim, path, hop, one_hop, flow_id, std::move(rng), oc);
     }
@@ -53,8 +53,8 @@ std::unique_ptr<traffic::Generator> make_cross_generator(
       // scenario: Poisson arrivals whose intensity is modulated every
       // millisecond by a fractional Gaussian noise series.
       traffic::FgnRateConfig fc;
-      fc.mean_rate_bps = rate_bps;
-      fc.packet_size = packet_size;
+      fc.mean_rate_bps = spec.rate_bps;
+      fc.packet_size = spec.packet_size;
       return std::make_unique<traffic::FgnRateGenerator>(
           sim, path, hop, one_hop, flow_id, std::move(rng), fc);
     }
@@ -69,9 +69,7 @@ void CrossTraffic::attach(sim::Simulator& sim, sim::Path& path,
                           sim::SimTime t0, sim::SimTime horizon) {
   adopt(sim, path, hop, one_hop, flow_id, mode,
         make_cross_generator(sim, path, hop, one_hop, flow_id, std::move(rng),
-                             spec.model, spec.rate_bps, spec.packet_size,
-                             spec.trimodal, spec.onoff_peak,
-                             spec.capacity_bps),
+                             spec),
         t0, horizon);
 }
 

@@ -37,16 +37,6 @@ enum class CrossModel {
 
 const char* to_string(CrossModel m);
 
-/// Builds one cross-traffic generator of `model` against (sim, path):
-/// the factory behind every scenario topology.  `one_hop` selects
-/// one-hop-persistent routing, `trimodal` the 40/576/1500 Poisson size
-/// mix, `onoff_peak` the Pareto ON rate (0 = capacity).
-std::unique_ptr<traffic::Generator> make_cross_generator(
-    sim::Simulator& sim, sim::Path& path, std::size_t hop, bool one_hop,
-    std::uint32_t flow_id, stats::Rng rng, CrossModel model, double rate_bps,
-    std::uint32_t packet_size, bool trimodal, double onoff_peak,
-    double capacity_bps);
-
 /// Everything one cross-traffic source needs beyond its placement: the
 /// arrival model and its parameters.  One struct instead of six loose
 /// arguments, so every topology builder reads the same way.
@@ -58,6 +48,13 @@ struct CrossSpec {
   double onoff_peak = 0.0;     ///< Pareto ON-OFF only; 0 = capacity
   double capacity_bps = 0.0;   ///< the fed link's capacity (ON-OFF peak cap)
 };
+
+/// Builds one cross-traffic generator of `spec` against (sim, path): the
+/// factory behind every scenario topology.  `one_hop` selects
+/// one-hop-persistent routing.
+std::unique_ptr<traffic::Generator> make_cross_generator(
+    sim::Simulator& sim, sim::Path& path, std::size_t hop, bool one_hop,
+    std::uint32_t flow_id, stats::Rng rng, const CrossSpec& spec);
 
 /// Owns the cross-traffic sources of a scenario and funnels every
 /// topology's construction — single-hop, multi-hop, mesh edges, custom

@@ -76,8 +76,10 @@ class SimTransport final : public Transport {
  public:
   explicit SimTransport(ProbeSession& session) : session_(session) {}
 
+  // Repeats the base default: default arguments bind to the static type,
+  // so a call through SimTransport& would otherwise need both arguments.
   StreamResult send_stream(const StreamSpec& spec,
-                           sim::SimTime lead_in) override {
+                           sim::SimTime lead_in = sim::kMillisecond) override {
     return session_.send_stream_now(spec, lead_in);
   }
 

@@ -8,9 +8,6 @@
 namespace abw::sim {
 
 namespace {
-// Minimum remaining arrivals before the vectorized bulk path is worth its
-// precompute pass; short tails go through the scalar loop unchanged.
-constexpr std::size_t kBulkThreshold = 16;
 // Popped FIFO entries kept before a busy period's prefix is erased.
 constexpr std::size_t kCompactMin = 4096;
 }  // namespace
@@ -73,46 +70,45 @@ SimTime FluidQueue::tx_time(std::uint32_t bytes) {
   return tx;
 }
 
+void FluidQueue::compute_tx(const std::uint32_t* sizes, std::size_t len) {
+  // transmission_time is the exact expression the per-packet path's memo
+  // caches, so the values — and everything derived from them — are
+  // bit-identical.
+  const double bps = link_.cfg_.capacity_bps;
+  vtx_.resize(len);
+  SimTime* tx = vtx_.data();
+#pragma omp simd
+  for (std::size_t k = 0; k < len; ++k) tx[k] = transmission_time(sizes[k], bps);
+}
+
 std::size_t FluidQueue::bulk_retire(const SimTime* times,
-                                    const std::uint32_t* sizes, std::size_t i,
+                                    const std::uint32_t* sizes,
+                                    const SimTime* tx, std::size_t i,
                                     std::size_t n, SimTime record_until,
                                     bool tapped, std::uint64_t& d_pkts,
                                     std::uint64_t& d_bytes) {
   const std::size_t len = n - i;
   const SimTime* t = times + i;
   const std::uint32_t* sz = sizes + i;
-  const double bps = link_.cfg_.capacity_bps;
   const std::uint64_t limit = link_.cfg_.queue_limit_bytes;
 
-  // Pass 1 (SIMD): per-arrival serialization times.  transmission_time is
-  // the exact expression the memoized scalar path caches, so the values —
-  // and everything derived from them — are bit-identical.
-  vtx_.resize(len);
-  SimTime* tx = vtx_.data();
-#pragma omp simd
-  for (std::size_t k = 0; k < len; ++k) tx[k] = transmission_time(sz[k], bps);
-
-  // Pass 2: unrolled Lindley recurrence.  With TxP[k] = sum of tx before
-  // k and A[k] = t[k] - TxP[k], the FIFO departure frontier after serving
-  // k is dep[k] = max_{j<=k} A[j] + TxP[k+1] — all integer adds, so the
-  // unrolled form reproduces the scalar run_free chain exactly.  Arrival
-  // k starts a new busy run iff A[k] >= max_{j<k} A[j] (i.e. t[k] >= the
-  // previous frontier).  Runs are retired as their boundary is found; the
-  // first run that could drop (bytes > limit) or that ends past the
-  // recording horizon stops the bulk path at its start, exactly where the
-  // scalar retirement loop would hand over to the per-packet path.
+  // Unrolled Lindley recurrence.  With TxP[k] = sum of tx before k and
+  // A[k] = t[k] - TxP[k], the FIFO departure frontier after serving k is
+  // dep[k] = max_{j<=k} A[j] + TxP[k+1] — all integer adds, so the
+  // unrolled form reproduces the per-packet departure chain exactly.
+  // Arrival k starts a new busy run iff A[k] >= max_{j<k} A[j] (i.e. t[k]
+  // >= the previous frontier).  Runs are retired as their boundary is
+  // found.  A run's bytes and frontier only grow, so the first arrival
+  // that takes its run past the byte limit (it could drop) or past the
+  // recording horizon stops the scan at the run's start, where the
+  // per-packet path takes over.
   std::size_t a = 0;           // current run start (local index)
   std::uint64_t run_bytes = 0; // bytes in the current run
   SimTime txp = 0;             // TxP[k]
   SimTime m = 0;               // max A over [0, k)
   SimTime prev_dep = 0;        // dep[k-1]
-  std::size_t stop = len;      // where the bulk path hands over
 
   auto retire = [&](std::size_t b, SimTime run_end) {
-    if (run_bytes > limit || run_end > record_until) {
-      stop = a;
-      return false;
-    }
     if (tapped) {
       for (std::size_t k = a; k < b; ++k) {
         Packet pkt;
@@ -130,13 +126,12 @@ std::size_t FluidQueue::bulk_retire(const SimTime* times,
     emitted_until_ = run_end;
     free_at_ = run_end;
     bulk_packets_ += b - a;
-    return true;
   };
 
   for (std::size_t k = 0; k < len; ++k) {
     const SimTime aval = t[k] - txp;
     if (k > 0 && aval >= m) {  // boundary: run [a, k) is complete
-      if (!retire(k, prev_dep)) break;
+      retire(k, prev_dep);
       a = k;
       run_bytes = 0;
     }
@@ -144,9 +139,10 @@ std::size_t FluidQueue::bulk_retire(const SimTime* times,
     txp += tx[k];
     prev_dep = m + txp;
     run_bytes += sz[k];
+    if (run_bytes > limit || prev_dep > record_until) return i + a;
   }
-  if (stop == len && !retire(len, prev_dep)) stop = a;
-  return i + stop;
+  retire(len, prev_dep);
+  return n;
 }
 
 void FluidQueue::absorb(const SimTime* times, const std::uint32_t* sizes,
@@ -163,88 +159,37 @@ void FluidQueue::absorb(const SimTime* times, const std::uint32_t* sizes,
   // reload/store of every counter per retired run.
   std::uint64_t d_pkts_in = 0, d_bytes_in = 0;
   std::uint64_t d_pkts_out = 0, d_bytes_out = 0, d_dropped = 0;
-  // One bulk attempt per absorb: the vectorized path stops exactly at the
-  // first run that could drop or that straddles the horizon, and such a
-  // run stays problematic for the rest of the chunk — re-engaging would
-  // only re-scan it.
-  bool bulk_ok = vectorized_;
+  // vtx_[k - tx_from] holds arrival k's serialization time.  One SIMD pass
+  // from the first idle point serves every later one, so a chunk with many
+  // runs that could drop costs one pass, not one per run.
+  std::size_t tx_from = n;
   std::size_t i = 0;
   while (i < n) {
     SimTime t = times[i];
     if (head_ != q_.size()) pop_departures(t);
-    if (head_ == q_.size() && t >= free_at_ && bulk_ok &&
-        n - i >= kBulkThreshold) {
-      bulk_ok = false;
+    if (head_ == q_.size() && t >= free_at_) {
+      // Idle point: an empty server at t starts a fresh busy run.  While
+      // the next run cannot drop and ends by the recording horizon, none
+      // of its packets can be observed in flight, so bulk_retire()
+      // records it as one meter interval with batched counters and no
+      // queue traffic.  This is the common case for every workload below
+      // saturation.
       emit_busy(record_until);  // close the previous run (ends <= t)
+      if (tx_from == n) {
+        tx_from = i;
+        compute_tx(sizes + i, n - i);
+      }
       std::uint64_t bp = 0, bb = 0;
-      i = bulk_retire(times, sizes, i, n, record_until, tapped, bp, bb);
+      i = bulk_retire(times, sizes, vtx_.data() + (i - tx_from), i, n,
+                      record_until, tapped, bp, bb);
       d_pkts_in += bp;
       d_bytes_in += bb;
       d_pkts_out += bp;
       d_bytes_out += bb;
       if (i == n) break;
+      // The run at i could drop or straddles the horizon: the per-packet
+      // path below carries it exactly.
       t = times[i];
-      // Falls through to the per-packet path for the handed-over arrival,
-      // exactly like a scalar retirement-loop break.
-    } else if (head_ == q_.size() && t >= free_at_) {
-      // Whole-run retirement: an idle, empty server at t starts a fresh
-      // busy run — scan forward while each arrival lands before the
-      // accumulated departure frontier (the exact FIFO run boundary).  If
-      // the run completes before the recording horizon and its total
-      // bytes bound the backlog below the drop threshold, nothing can
-      // ever observe any of its packets in flight: record the run as one
-      // meter interval and batch the counters, with no queue traffic at
-      // all.  This is the common case for every workload below saturation
-      // and the reason hybrid mode's per-arrival cost is dominated by the
-      // generator draw, not the queue integration.  Retired runs chain:
-      // after one retires, the next arrival stopped the scan with
-      // times[j] >= run_free == free_at_, so it provably starts another
-      // run on an empty queue and none of the outer-loop checks (or the
-      // then-no-op emit_busy) need repeating.
-      emit_busy(record_until);  // close the previous run (ends <= t)
-      for (;;) {
-        SimTime run_free = t;
-        std::uint64_t run_bytes = 0;
-        std::size_t j = i;
-        bool fits = true;
-        while (j < n && (j == i || times[j] < run_free)) {
-          if (run_bytes + sizes[j] > limit) {
-            fits = false;  // a drop is possible: take the exact path
-            break;
-          }
-          run_bytes += sizes[j];
-          run_free = (times[j] > run_free ? times[j] : run_free) +
-                     tx_time(sizes[j]);
-          ++j;
-        }
-        if (!fits || run_free > record_until) break;
-        // Run straddling the horizon or able to drop breaks to the
-        // per-packet path for arrival i (the queue then carries the
-        // run's tail exactly).
-        if (tapped) {
-          for (std::size_t k = i; k < j; ++k) {
-            Packet pkt;
-            pkt.type = PacketType::kCross;
-            pkt.size_bytes = sizes[k];
-            pkt.flow_id = flow_id_;
-            pkt.exit_hop = exit_hop_;
-            pkt.send_time = times[k];
-            link_.tap_(pkt, times[k]);
-          }
-        }
-        const std::uint64_t cnt = j - i;
-        d_pkts_in += cnt;
-        d_bytes_in += run_bytes;
-        d_pkts_out += cnt;
-        d_bytes_out += run_bytes;
-        link_.meter_.add_busy(t, run_free, /*measurement=*/false);
-        emitted_until_ = run_free;
-        free_at_ = run_free;
-        i = j;
-        if (i == n) break;
-        t = times[i];
-      }
-      if (i == n) break;
     }
     const std::uint32_t s = sizes[i];
     ++d_pkts_in;

@@ -11,6 +11,12 @@
 // event-driven link would have produced — only ~100x cheaper, since no
 // event queue, virtual dispatch, or per-packet closures are involved.
 //
+// absorb() has two paths.  At every idle point (empty queue, server
+// free) one vectorized pass retires each following busy run whole — one
+// meter interval and batched counters, no queue traffic — as long as the
+// run cannot drop and ends by the recording horizon.  A run that could
+// drop or that straddles the horizon goes through the per-packet FIFO.
+//
 // Discrete packets (probes) join the same FIFO through admit(): the link
 // absorbs every cross arrival strictly before the packet's arrival, admit()
 // applies drop-tail and returns the departure time, and the packet's
@@ -82,15 +88,8 @@ class FluidQueue {
   /// Packets currently in the fluid system.
   std::size_t in_system() const { return q_.size() - head_; }
 
-  /// Selects the vectorized bulk-retirement path inside absorb() (default
-  /// on).  Both settings produce bit-identical stats, meter contents, and
-  /// tap streams — the toggle exists for benchmarking and for the
-  /// equivalence tests that prove it.
-  void set_vectorized(bool on) { vectorized_ = on; }
-  bool vectorized() const { return vectorized_; }
-
-  /// Packets retired through the vectorized bulk path (lets tests assert
-  /// the fast path actually engaged, not just that results agree).
+  /// Packets retired whole-run by the vectorized pass (lets tests assert
+  /// it actually engaged, not just that results agree).
   std::uint64_t bulk_packets() const { return bulk_packets_; }
 
  private:
@@ -103,17 +102,21 @@ class FluidQueue {
   void emit_busy(SimTime upto);    // record [emitted_until_, min(upto, free_at_))
   SimTime tx_time(std::uint32_t bytes);  // memoized transmission_time()
 
-  // Vectorized whole-run retirement over arrivals [i, n): SoA passes
-  // (transmission times, then an unrolled Lindley recurrence over prefix
-  // sums) retire every complete busy run in bulk.  Returns the index of
-  // the first unretired arrival (== n when the whole tail retired);
-  // `d_pkts`/`d_bytes` accumulate the retired packet/byte counts (in ==
-  // out for a retired run).  Caller must hold the scalar engage
-  // invariant: empty queue, times[i] >= free_at_, previous run emitted.
+  // Vectorized pass 1: serialization times of `len` arrivals into vtx_.
+  void compute_tx(const std::uint32_t* sizes, std::size_t len);
+
+  // Vectorized pass 2, whole-run retirement over arrivals [i, n) whose
+  // serialization times are tx[0, n - i): an unrolled Lindley recurrence
+  // over prefix sums retires every complete busy run in bulk, up to the
+  // first run that could drop or that ends past `record_until`.  Returns
+  // the index of the first unretired arrival (== n when the whole tail
+  // retired); `d_pkts`/`d_bytes` accumulate the retired packet/byte
+  // counts (in == out for a retired run).  Caller must be at an idle
+  // point: empty queue, times[i] >= free_at_, previous run emitted.
   std::size_t bulk_retire(const SimTime* times, const std::uint32_t* sizes,
-                          std::size_t i, std::size_t n, SimTime record_until,
-                          bool tapped, std::uint64_t& d_pkts,
-                          std::uint64_t& d_bytes);
+                          const SimTime* tx, std::size_t i, std::size_t n,
+                          SimTime record_until, bool tapped,
+                          std::uint64_t& d_pkts, std::uint64_t& d_bytes);
 
   struct TxMemo {
     std::uint32_t bytes = 0;
@@ -139,7 +142,6 @@ class FluidQueue {
   std::array<TxMemo, 4> tx_memo_{};
   std::size_t tx_memo_used_ = 0;
   std::size_t tx_memo_evict_ = 0;
-  bool vectorized_ = true;
   std::uint64_t bulk_packets_ = 0;
   std::vector<SimTime> vtx_;  // SoA scratch: per-arrival tx times (bulk path)
 };

@@ -3,8 +3,8 @@
 // Every figure in the paper needs long runs where cross-traffic packets
 // outnumber probe packets by 100-1000x.  In hybrid mode a link's cross
 // traffic never becomes events: the link's FluidQueue integrates the FIFO
-// queue analytically from the same pre-drawn (time, size) arrival stream
-// the packet mode would use.  A discrete packet (a probe) reaching a fluid
+// queue analytically from the same (time, size) arrival stream that packet
+// mode injects as events.  A discrete packet (a probe) reaching a fluid
 // link joins that FIFO analytically too: the link brings its source up to
 // date to just before the arrival, applies drop-tail against the fluid
 // backlog, and schedules one delivery event at the packet's departure plus

@@ -24,31 +24,6 @@ AvailBwProcess::AvailBwProcess(const PacketTrace& trace)
   }
 }
 
-AvailBwProcess AvailBwProcess::from_meter(const sim::UtilizationMeter& meter,
-                                          sim::SimTime t0, sim::SimTime t1,
-                                          sim::SimTime quantum) {
-  if (quantum <= 0)
-    throw std::invalid_argument("from_meter: quantum must be > 0");
-  if (t1 - t0 < 2 * quantum)
-    throw std::invalid_argument("from_meter: window shorter than 2 quanta");
-  AvailBwProcess p;
-  p.capacity_bps_ = meter.capacity_bps();
-  p.start_ = t0;
-  p.end_ = t0;
-  std::vector<double> series =
-      meter.avail_bw_series(t0, t1, quantum, /*exclude_measurement=*/true);
-  std::uint64_t acc = 0;
-  const double qs = sim::to_seconds(quantum);
-  for (std::size_t w = 0; w < series.size(); ++w) {
-    double bytes = (p.capacity_bps_ - series[w]) * qs / 8.0;
-    acc += static_cast<std::uint64_t>(bytes + 0.5);
-    p.times_.push_back(t0 + static_cast<sim::SimTime>(w) * quantum);
-    p.cum_bytes_.push_back(acc);
-    p.end_ = t0 + static_cast<sim::SimTime>(w + 1) * quantum;
-  }
-  return p;
-}
-
 std::uint64_t AvailBwProcess::bytes_in(sim::SimTime t1, sim::SimTime t2) const {
   if (t2 <= t1) return 0;
   // Count arrivals with t1 <= at < t2 via prefix sums.

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "sim/time.hpp"
-#include "sim/util_meter.hpp"
 #include "stats/rng.hpp"
 #include "trace/packet_trace.hpp"
 
@@ -25,17 +24,6 @@ class AvailBwProcess {
  public:
   /// Indexes the trace for O(log n) window queries.
   explicit AvailBwProcess(const PacketTrace& trace);
-
-  /// Builds the process from a link's UtilizationMeter instead of a
-  /// packet trace — the ground-truth source of hybrid mode, where fluid
-  /// links record busy segments but no per-packet trace exists.  The
-  /// meter's exact per-window cross traffic over [t0, t1) is discretized
-  /// at `quantum` resolution (each window's bytes enter as one arrival at
-  /// the window start), so any analysis at tau >= quantum matches the
-  /// packet-trace construction to within the quantum rounding.
-  static AvailBwProcess from_meter(const sim::UtilizationMeter& meter,
-                                   sim::SimTime t0, sim::SimTime t1,
-                                   sim::SimTime quantum);
 
   /// Bytes arriving in [t1, t2).
   std::uint64_t bytes_in(sim::SimTime t1, sim::SimTime t2) const;
@@ -70,8 +58,6 @@ class AvailBwProcess {
   sim::SimTime end_time() const { return end_; }
 
  private:
-  AvailBwProcess() = default;  // for from_meter
-
   double capacity_bps_;
   sim::SimTime start_, end_;
   std::vector<sim::SimTime> times_;       // arrival instants

@@ -24,13 +24,6 @@ double PacketTrace::mean_utilization() const {
   return rate / capacity_bps_;
 }
 
-std::vector<traffic::ReplayRecord> PacketTrace::to_replay() const {
-  std::vector<traffic::ReplayRecord> out;
-  out.reserve(records_.size());
-  for (const auto& r : records_) out.push_back({r.at, r.size_bytes});
-  return out;
-}
-
 LinkTraceRecorder::LinkTraceRecorder(sim::Link& link,
                                      std::optional<sim::PacketType> only)
     : trace_(link.capacity_bps()) {

@@ -1,8 +1,8 @@
 // Packet traces: the (timestamp, size) sequences the paper's Figs. 1 and 6
 // are computed from.  A trace can be recorded live off a simulated link or
 // synthesized (synthetic_trace.hpp); either way it feeds AvailBwProcess
-// for ground-truth avail-bw analysis and, through to_replay(),
-// traffic::TraceGenerator for reuse as a workload.
+// for ground-truth avail-bw analysis, and its records() feed
+// traffic::TraceGenerator as they are for reuse as a workload.
 #pragma once
 
 #include <cstdint>
@@ -15,12 +15,6 @@
 
 namespace abw::trace {
 
-/// One captured packet arrival.
-struct TraceRecord {
-  sim::SimTime at;
-  std::uint32_t size_bytes;
-};
-
 /// A time-ordered sequence of packet arrivals at a link of known capacity.
 class PacketTrace {
  public:
@@ -30,7 +24,7 @@ class PacketTrace {
   /// Appends an arrival; must be in non-decreasing time order.
   void add(sim::SimTime at, std::uint32_t size_bytes);
 
-  const std::vector<TraceRecord>& records() const { return records_; }
+  const std::vector<traffic::ReplayRecord>& records() const { return records_; }
   double capacity_bps() const { return capacity_bps_; }
   bool empty() const { return records_.empty(); }
   std::size_t size() const { return records_.size(); }
@@ -45,12 +39,9 @@ class PacketTrace {
   /// Long-run average utilization of the link implied by the trace.
   double mean_utilization() const;
 
-  /// Converts to replayer records for use as a simulated workload.
-  std::vector<traffic::ReplayRecord> to_replay() const;
-
  private:
   double capacity_bps_;
-  std::vector<TraceRecord> records_;
+  std::vector<traffic::ReplayRecord> records_;
   std::uint64_t total_bytes_ = 0;
 };
 

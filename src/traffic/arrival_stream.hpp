@@ -1,8 +1,7 @@
 // Chunked arrival stream: bulk (time, size) arrays produced by
-// Generator::fill().  Both simulation modes can consume arrivals in
-// chunks — the fluid fast path absorbs whole chunks analytically, and a
-// packet-mode consumer can inject them one by one — replacing
-// one-scheduled-event-per-cross-packet with one refill per chunk.
+// Generator::fill().  Both simulation modes consume arrivals in chunks:
+// the fluid fast path absorbs whole chunks analytically, and a started
+// generator injects them one packet event at a time.
 #pragma once
 
 #include <cstddef>

@@ -15,10 +15,6 @@ CbrGenerator::CbrGenerator(sim::Simulator& sim, sim::Path& path,
   gap_ = sim::transmission_time(packet_size, rate_bps);
 }
 
-sim::SimTime CbrGenerator::next_gap(stats::Rng&, sim::SimTime) { return gap_; }
-
-std::uint32_t CbrGenerator::next_size(stats::Rng&) { return packet_size_; }
-
 std::size_t CbrGenerator::fill(ArrivalChunk& out, std::size_t max_arrivals) {
   if (!pull_armed())
     throw std::logic_error("Generator::fill before begin_stream");

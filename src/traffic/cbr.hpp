@@ -14,16 +14,10 @@ class CbrGenerator final : public Generator {
                bool one_hop, std::uint32_t flow_id, stats::Rng rng,
                double rate_bps, std::uint32_t packet_size);
 
-  /// The arrival sequence is an arithmetic progression and neither draw
-  /// touches the Rng, so bulk generation skips both virtual calls per
-  /// packet with nothing else to reproduce (tests/fluid_test.cpp asserts
-  /// equivalence with the base loop).
+  /// The arrival sequence is an arithmetic progression that touches no
+  /// Rng, so fill() writes it directly instead of drawing through
+  /// next_gap()/next_size().
   std::size_t fill(ArrivalChunk& out, std::size_t max_arrivals) override;
-
- protected:
-  sim::SimTime next_gap(stats::Rng& rng, sim::SimTime now) override;
-  std::uint32_t next_size(stats::Rng& rng) override;
-  bool gap_is_time_invariant() const override { return true; }
 
  private:
   sim::SimTime gap_;

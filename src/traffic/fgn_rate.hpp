@@ -24,8 +24,7 @@ struct FgnRateConfig {
 
 /// Emits Poisson arrivals whose intensity is re-drawn every `window` from
 /// a precomputed fGn series (clamped at >= 1% of the mean so the rate
-/// stays positive).  The fGn series is generated for the whole active
-/// window at start().
+/// stays positive).  The fGn series is generated on the first draw.
 class FgnRateGenerator final : public Generator {
  public:
   FgnRateGenerator(sim::Simulator& sim, sim::Path& path, std::size_t entry_hop,

@@ -18,79 +18,39 @@ Generator::Generator(sim::Simulator& sim, sim::Path& path, std::size_t entry_hop
 }
 
 void Generator::start(sim::SimTime t0, sim::SimTime t1) {
-  if (started_) throw std::logic_error("Generator::start called twice");
-  if (pull_active_) throw std::logic_error("Generator::start after begin_stream");
-  if (t1 <= t0) throw std::invalid_argument("Generator: empty active window");
-  started_ = true;
-  t0_ = t0;
-  t1_ = t1;
-  sim_.at(t0, [this] { arm_next(); });
+  begin_stream(t0, t1);
+  pending_.reserve(kPullBatch);
+  sim_.at(t0, [this] { schedule_next(); });
 }
 
-void Generator::arm_next() {
-  sim::SimTime gap = next_gap(rng_, sim_.now());
-  schedule_emit(sim_.now() + gap);
-}
-
-void Generator::schedule_emit(sim::SimTime when) {
-  if (when >= t1_) return;  // active window over
-  sim_.at(when, [this] { emit(); });
-}
-
-// Pre-draws the next kBatchDraws (size, gap-to-next) pairs.  The draw
-// order — size_i, gap_{i+1}, size_{i+1}, gap_{i+2}, ... — is exactly the
-// order the unbatched path consumes the RNG in (emit() draws the packet
-// size, then arm_next() draws the following gap), so batching never
-// perturbs the generated packet stream.  Draws past the end of the
-// active window are discarded unused, which the unbatched path also does
-// for its final gap.
-void Generator::refill_pending() {
-  pending_.clear();
-  pending_head_ = 0;
-  for (std::size_t i = 0; i < kBatchDraws; ++i) {
-    PendingDraw d;
-    d.size = next_size(rng_);
-    d.gap_after = next_gap(rng_, sim_.now());
-    pending_.push_back(d);
+// Runs at t0 and after each injection: one injection per generator is
+// pending at a time, scheduled when the previous one fires.  That fixes
+// the order of same-instant events, which the golden digests pin.
+void Generator::schedule_next() {
+  if (pending_head_ == pending_.size()) {
+    pending_.clear();
+    pending_head_ = 0;
+    if (fill(pending_, kPullBatch) == 0) return;  // active window over
   }
+  sim_.at(pending_.times[pending_head_], [this] { inject(); });
 }
 
-void Generator::emit() {
-  std::uint32_t size;
-  sim::SimTime gap_after;
-  bool batched = gap_is_time_invariant();
-  if (batched) {
-    if (pending_head_ == pending_.size()) refill_pending();
-    size = pending_[pending_head_].size;
-    gap_after = pending_[pending_head_].gap_after;
-    ++pending_head_;
-  } else {
-    size = next_size(rng_);
-    gap_after = 0;  // drawn below, at the post-emit time it applies to
-  }
-
+void Generator::inject() {
   sim::Packet pkt;
   pkt.id = sim_.next_packet_id();
   pkt.type = sim::PacketType::kCross;
-  pkt.size_bytes = size;
+  pkt.size_bytes = pending_.sizes[pending_head_++];
   pkt.flow_id = flow_id_;
   pkt.seq = seq_++;
   pkt.exit_hop = one_hop_ ? static_cast<std::uint32_t>(entry_hop_) : sim::kEndToEnd;
   pkt.send_time = sim_.now();
-  ++packets_sent_;
-  bytes_sent_ += pkt.size_bytes;
   path_.inject(entry_hop_, pkt);
-
-  if (batched) {
-    schedule_emit(sim_.now() + gap_after);
-  } else {
-    arm_next();
-  }
+  schedule_next();
 }
 
 void Generator::begin_stream(sim::SimTime t0, sim::SimTime t1) {
-  if (started_) throw std::logic_error("Generator::begin_stream after start");
-  if (pull_active_) throw std::logic_error("Generator::begin_stream called twice");
+  if (pull_active_)
+    throw std::logic_error("Generator: start/begin_stream called twice");
   if (t1 <= t0) throw std::invalid_argument("Generator: empty active window");
   pull_active_ = true;
   t0_ = t0;
@@ -102,10 +62,6 @@ std::size_t Generator::fill(ArrivalChunk& out, std::size_t max_arrivals) {
   if (!pull_active_) throw std::logic_error("Generator::fill before begin_stream");
   std::size_t n = 0;
   while (n < max_arrivals && !pull_done_) {
-    // Same consumption order as the self-scheduling path: the gap is drawn
-    // with `now` = the previous arrival time (arm_next() runs inside the
-    // previous emit), and the final gap crossing t1 is drawn but its
-    // packet size is not (schedule_emit() discards the wakeup).
     sim::SimTime gap = next_gap(rng_, pull_t_);
     sim::SimTime t = pull_t_ + gap;
     if (t >= t1_) {
@@ -114,12 +70,18 @@ std::size_t Generator::fill(ArrivalChunk& out, std::size_t max_arrivals) {
     }
     std::uint32_t size = next_size(rng_);
     out.push_back(t, size);
-    pull_t_ = t;
-    ++packets_sent_;
-    bytes_sent_ += size;
+    advance_pull(t, size);
     ++n;
   }
   return n;
+}
+
+sim::SimTime Generator::next_gap(stats::Rng&, sim::SimTime) {
+  throw std::logic_error("Generator: next_gap not overridden");
+}
+
+std::uint32_t Generator::next_size(stats::Rng&) {
+  throw std::logic_error("Generator: next_size not overridden");
 }
 
 double Generator::offered_rate() const {

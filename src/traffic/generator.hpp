@@ -1,10 +1,13 @@
 // Base class for open-loop cross-traffic generators.
 //
 // A generator owns an arrival process (interarrival gaps + packet sizes)
-// and self-schedules injections into one hop of a Path over an active
-// window [t0, t1).  One-hop persistence (the Fig. 4 multi-bottleneck
-// workload: traffic "enters the link i and exits at link i+1") is
-// expressed by stamping each packet's exit_hop with the entry hop.
+// over an active window [t0, t1) and has one way to produce it: fill()
+// appends the next arrivals as bulk (time, size) arrays.  Hybrid mode
+// pulls those arrays into a fluid queue; start() pulls them itself and
+// injects each arrival into one hop of a Path as a packet event.
+// One-hop persistence (the Fig. 4 multi-bottleneck workload: traffic
+// "enters the link i and exits at link i+1") is expressed by stamping
+// each packet's exit_hop with the entry hop.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +21,7 @@
 
 namespace abw::traffic {
 
-/// Abstract open-loop packet generator.
+/// Open-loop packet generator; subclasses supply the arrival process.
 class Generator {
  public:
   /// `entry_hop` is the path hop the packets enter; if `one_hop` they exit
@@ -30,59 +33,57 @@ class Generator {
   Generator(const Generator&) = delete;
   Generator& operator=(const Generator&) = delete;
 
-  /// Activates the generator during [t0, t1).  The first packet arrives at
-  /// t0 + one interarrival gap (so independent generators don't phase-align
-  /// at t0).  May be called once.
+  /// Activates the generator during [t0, t1) in packet mode.  The first
+  /// packet arrives at t0 + one interarrival gap (so independent
+  /// generators don't phase-align at t0).  An event at t0 pulls arrivals
+  /// through fill(), kPullBatch at a time, and schedules the first
+  /// injection; each injection schedules the next.  May be called once,
+  /// and excludes begin_stream().
   void start(sim::SimTime t0, sim::SimTime t1);
 
+  /// Packets and bytes pulled through fill() so far.  A started generator
+  /// pulls up to kPullBatch - 1 arrivals ahead of injecting them, so the
+  /// counts are exact once the active window is over.
   std::uint64_t packets_sent() const { return packets_sent_; }
   std::uint64_t bytes_sent() const { return bytes_sent_; }
 
-  /// Average offered rate over the active window so far, bits/s.
+  /// Average offered rate over the active window so far, bits/s (from
+  /// bytes_sent(), so exact once the window is over).
   double offered_rate() const;
 
-  // --- chunked pull API (hybrid mode) ------------------------------------
-  // Instead of self-scheduling one event per packet, the generator can be
-  // pulled: begin_stream() fixes the active window, and fill() appends the
-  // next arrivals as bulk (time, size) arrays.  The RNG draw order —
-  // gap_1, size_1, gap_2, size_2, ... with `now` = the previous arrival
-  // time — is exactly the order the self-scheduling path consumes, so for
-  // the same seed both paths produce the identical packet sequence
-  // (asserted by tests/fluid_test.cpp).  A generator is either pulled or
-  // started, never both.
+  // --- pull API -----------------------------------------------------------
+  // begin_stream() fixes the active window, and fill() appends the next
+  // arrivals.  The RNG draw order is gap_1, size_1, gap_2, size_2, ...,
+  // each gap drawn with `now` = the previous arrival time (t0 before the
+  // first), and the final gap crossing t1 is drawn but its size is not.
 
-  /// Arms the pull cursor over [t0, t1).  May be called once.
+  /// Arms the pull cursor over [t0, t1).  May be called once, and
+  /// excludes start().
   void begin_stream(sim::SimTime t0, sim::SimTime t1);
 
   /// Appends up to `max_arrivals` arrivals to `out` (not cleared).
   /// Returns the number appended; less than `max_arrivals` only when the
-  /// active window is exhausted (stream_done() turns true).  Virtual so
-  /// sources whose arrivals are already materialized (TraceGenerator) can
-  /// bulk-copy instead of paying two virtual draws per packet; overrides
-  /// must produce the identical arrival sequence and bookkeeping as the
-  /// base loop (asserted by tests/fluid_test.cpp) using the protected
-  /// pull-cursor helpers below.
+  /// active window is exhausted (stream_done() turns true).  The base
+  /// loop draws from next_gap()/next_size().  Sources whose arrivals need
+  /// no draws (CbrGenerator, TraceGenerator) override fill() instead,
+  /// using the protected pull-cursor helpers below.
   virtual std::size_t fill(ArrivalChunk& out, std::size_t max_arrivals);
 
   /// True once fill() has consumed the whole active window.
   bool stream_done() const { return pull_done_; }
 
  protected:
-  /// Next interarrival gap; called once per packet.  `now` is the current
-  /// simulated time (rate-modulated processes need it).
-  virtual sim::SimTime next_gap(stats::Rng& rng, sim::SimTime now) = 0;
+  /// Next interarrival gap; called once per packet by the base fill().
+  /// `now` is the previous arrival time (rate-modulated processes need
+  /// it).  Throws std::logic_error unless overridden.
+  virtual sim::SimTime next_gap(stats::Rng& rng, sim::SimTime now);
 
-  /// Size of the next packet in bytes.
-  virtual std::uint32_t next_size(stats::Rng& rng) = 0;
+  /// Size of the next packet in bytes.  Throws std::logic_error unless
+  /// overridden.
+  virtual std::uint32_t next_size(stats::Rng& rng);
 
-  /// True when next_gap() ignores its `now` argument (CBR, Poisson,
-  /// Pareto-gap, Pareto-ON/OFF).  Such sources get their next
-  /// kBatchDraws (size, gap) pairs pre-drawn per wakeup, amortizing two
-  /// virtual calls per packet over a whole batch.  The draws happen in
-  /// exactly the per-packet order (size_i, gap_{i+1}, size_{i+1}, ...),
-  /// so the emitted packet stream is bit-identical to unbatched
-  /// operation.  Rate-modulated processes (fGn) must keep the default
-  /// `false`: their gap depends on the time it is drawn at.
+  /// Unused by the library: every generator draws through fill().  Kept
+  /// only so subclasses outside it that still override it compile.
   virtual bool gap_is_time_invariant() const { return false; }
 
   stats::Rng& rng() { return rng_; }
@@ -110,20 +111,11 @@ class Generator {
   void finish_pull() { pull_done_ = true; }
 
  private:
-  /// Pre-drawn batch size for time-invariant arrival processes.
-  static constexpr std::size_t kBatchDraws = 16;
+  /// Arrivals a started generator pulls per fill() call.
+  static constexpr std::size_t kPullBatch = 16;
 
-  /// One pre-drawn arrival: the packet's size and the gap to the NEXT
-  /// arrival (mirroring the per-emit draw order of the unbatched path).
-  struct PendingDraw {
-    sim::SimTime gap_after;
-    std::uint32_t size;
-  };
-
-  void arm_next();
-  void emit();
-  void refill_pending();
-  void schedule_emit(sim::SimTime when);
+  void schedule_next();  // schedule the next pulled arrival, if any
+  void inject();         // inject it, then schedule_next()
 
   sim::Simulator& sim_;
   sim::Path& path_;
@@ -133,7 +125,6 @@ class Generator {
   stats::Rng rng_;
 
   sim::SimTime t0_ = 0, t1_ = 0;
-  bool started_ = false;
   bool pull_active_ = false;
   bool pull_done_ = false;
   sim::SimTime pull_t_ = 0;  ///< previous arrival time (gap anchor)
@@ -141,8 +132,8 @@ class Generator {
   std::uint64_t packets_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;
 
-  std::vector<PendingDraw> pending_;  // fixed kBatchDraws capacity ring
-  std::size_t pending_head_ = 0;
+  ArrivalChunk pending_;           // pulled, not yet injected (start())
+  std::size_t pending_head_ = 0;   // next arrival of pending_ to inject
 };
 
 }  // namespace abw::traffic

@@ -24,7 +24,6 @@ class ParetoGapGenerator final : public Generator {
  protected:
   sim::SimTime next_gap(stats::Rng& rng, sim::SimTime now) override;
   std::uint32_t next_size(stats::Rng& rng) override;
-  bool gap_is_time_invariant() const override { return true; }
 
  private:
   double shape_;

@@ -35,7 +35,6 @@ class ParetoOnOffGenerator final : public Generator {
  protected:
   sim::SimTime next_gap(stats::Rng& rng, sim::SimTime now) override;
   std::uint32_t next_size(stats::Rng& rng) override;
-  bool gap_is_time_invariant() const override { return true; }
 
  private:
   ParetoOnOffConfig cfg_;

@@ -19,7 +19,6 @@ class PoissonGenerator final : public Generator {
  protected:
   sim::SimTime next_gap(stats::Rng& rng, sim::SimTime now) override;
   std::uint32_t next_size(stats::Rng& rng) override;
-  bool gap_is_time_invariant() const override { return true; }
 
  private:
   double mean_gap_seconds_;

@@ -21,7 +21,7 @@ struct ReplayRecord {
 
 /// A trace served through the Generator interface, which is what makes a
 /// recorded workload usable in BOTH simulation modes: started, it
-/// self-schedules packet events like any generator; pulled through
+/// injects packet events like any generator; pulled through
 /// begin_stream()/fill(), it feeds a hybrid-mode FluidQueue with zero
 /// per-arrival events and zero RNG.
 /// Records must be nondecreasing in time and must not precede the
@@ -36,19 +36,13 @@ class TraceGenerator final : public Generator {
 
   std::size_t trace_size() const { return records_.size(); }
 
-  /// Bulk copy straight from the record array — the arrivals already
-  /// exist, so the two virtual draws per packet of the base loop reduce
-  /// to a bounds check and a push.  Produces the identical sequence and
-  /// bookkeeping as the base implementation (tests/fluid_test.cpp).
+  /// Copies straight from the record array: the arrivals already exist,
+  /// so there is nothing to draw.
   std::size_t fill(ArrivalChunk& out, std::size_t max_arrivals) override;
-
- protected:
-  sim::SimTime next_gap(stats::Rng& rng, sim::SimTime now) override;
-  std::uint32_t next_size(stats::Rng& rng) override;
 
  private:
   std::vector<ReplayRecord> records_;
-  std::size_t cursor_ = 0;  ///< record the next next_gap/next_size serves
+  std::size_t cursor_ = 0;  ///< next record fill() serves
 };
 
 }  // namespace abw::traffic

@@ -5,8 +5,8 @@
 //
 // These digests pin the bit-identical guarantee of the DES hot-path
 // rewrite: the slab-pooled scheduler, the self-driving link transmit loop
-// and the batched generator arrival pre-draws must reproduce the exact
-// event ordering, RNG draw sequence, and arithmetic of the original
+// and generators that pull their arrivals in batches must reproduce the
+// exact event ordering, RNG draw sequence, and arithmetic of the original
 // per-closure implementation.  Any deviation — one reordered tie, one
 // extra RNG draw feeding a packet, one changed rounding — flips the hash.
 //
@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <vector>
 
 #include "core/mesh_scenario.hpp"
@@ -29,6 +30,7 @@
 #include "sim/path.hpp"
 #include "sim/simulator.hpp"
 #include "traffic/pareto_gaps.hpp"
+#include "traffic/trace_replay.hpp"
 
 namespace {
 
@@ -58,14 +60,9 @@ void digest_link(Digest& d, const sim::Link& link) {
   d.u64(s.bytes_out);
 }
 
-/// Fig. 1-style run: probe a single-hop scenario with a rate sweep of
-/// periodic streams and fold every observable into one digest.
-std::uint64_t run_single_hop(core::CrossModel model) {
-  core::SingleHopConfig cfg;
-  cfg.model = model;
-  cfg.seed = 7;
-  auto sc = core::Scenario::single_hop(cfg);
-
+/// Fig. 1-style probing: a rate sweep of periodic streams through a
+/// single-hop scenario, with every observable folded into one digest.
+std::uint64_t digest_probed_single_hop(core::Scenario& sc) {
   Digest d;
   for (int k = 0; k < 12; ++k) {
     double rate = 10e6 + 3e6 * k;  // sweep across under- and overload
@@ -98,6 +95,42 @@ std::uint64_t run_single_hop(core::CrossModel model) {
   return d.h;
 }
 
+std::uint64_t run_single_hop(core::CrossModel model) {
+  core::SingleHopConfig cfg;
+  cfg.model = model;
+  cfg.seed = 7;
+  auto sc = core::Scenario::single_hop(cfg);
+  return digest_probed_single_hop(sc);
+}
+
+/// The same probing against a recorded workload replayed by
+/// TraceGenerator in packet mode.  The replay starts at 100 ms behind
+/// records from 50 ms on, and every seventh record repeats its
+/// predecessor's timestamp, so the emit-at-t0 clamp and zero gaps are
+/// pinned along with ordinary replay.
+std::uint64_t run_trace_replay() {
+  sim::LinkConfig lc;
+  lc.capacity_bps = 50e6;
+  lc.propagation_delay = sim::kMillisecond;
+  auto sc = core::Scenario::custom({lc}, 7);
+
+  stats::Rng rng(13);
+  const std::uint32_t sizes[3] = {40, 576, 1500};
+  std::vector<traffic::ReplayRecord> recs;
+  sim::SimTime t = 50 * sim::kMillisecond;
+  for (int i = 0; i < 45000; ++i) {
+    if (i % 7 != 0) t += sim::from_seconds(rng.exponential(705.0 * 8.0 / 25e6));
+    recs.push_back({t, sizes[i % 3]});
+  }
+  sc.simulator().run_until(100 * sim::kMillisecond);
+  sc.add_cross_source(
+      std::make_unique<traffic::TraceGenerator>(sc.simulator(), sc.path(), 0,
+                                                false, 1000, std::move(recs)),
+      0, /*one_hop=*/false, 1000, sim::SimMode::kPacket, 60 * sim::kSecond);
+  sc.simulator().run_until(2 * sim::kSecond);
+  return digest_probed_single_hop(sc);
+}
+
 /// Fig. 4-style multi-hop run with one-hop-persistent cross traffic.
 std::uint64_t run_multi_hop() {
   core::MultiHopConfig cfg;
@@ -128,7 +161,7 @@ std::uint64_t run_multi_hop() {
 }
 
 /// Direct Pareto-gap generator run (not reachable through Scenario's
-/// CrossModel set) so every batchable arrival process is pinned.
+/// CrossModel set) so every arrival process of the library is pinned.
 std::uint64_t run_pareto_gaps() {
   sim::Simulator simu;
   sim::LinkConfig lc;
@@ -205,6 +238,10 @@ constexpr std::uint64_t kGoldenParetoGaps = 0x21ae52ecde362251ull;
 // Captured while MeshScenario still forwarded probes edge by edge;
 // measurement on route-only pair scenarios must keep reproducing it.
 constexpr std::uint64_t kGoldenMesh = 0x54f5484d168c5357ull;
+// Captured while started generators still drew their own arrivals
+// (fGn one at a time) instead of pulling them through fill().
+constexpr std::uint64_t kGoldenFgn = 0xbd3c83949ca2410cull;
+constexpr std::uint64_t kGoldenTrace = 0x57282e028358c945ull;
 
 bool print_mode() { return std::getenv("ABW_GOLDEN_PRINT") != nullptr; }
 
@@ -247,8 +284,16 @@ TEST(GoldenDeterminism, MeshPairMeasurements) {
   check("Mesh", run_mesh_pairs(), kGoldenMesh);
 }
 
+TEST(GoldenDeterminism, SingleHopFgn) {
+  check("Fgn", run_single_hop(core::CrossModel::kFgn), kGoldenFgn);
+}
+
+TEST(GoldenDeterminism, TraceReplaySource) {
+  check("Trace", run_trace_replay(), kGoldenTrace);
+}
+
 /// Running the same scenario twice in one process must give the same
-/// digest (no hidden global state in the pooled queue or batched draws).
+/// digest (no hidden global state in the pooled queue or pulled arrivals).
 TEST(GoldenDeterminism, RepeatRunsAreIdentical) {
   EXPECT_EQ(run_single_hop(core::CrossModel::kPoisson),
             run_single_hop(core::CrossModel::kPoisson));

@@ -200,16 +200,17 @@ TEST(BatchDeterminism, RatioCurveFreshIsByteIdenticalAcross1_2_8Threads) {
 }
 
 TEST(BatchDeterminism, DirectSampleReplicationsAreByteIdenticalAcrossThreads) {
-  auto make = [](std::uint64_t seed) {
-    core::SingleHopConfig cfg;
-    cfg.seed = seed;
-    return core::Scenario::single_hop(cfg);
-  };
-  auto run = [&](std::size_t jobs) {
-    return core::collect_direct_samples_batch(
-        make, 50e6, 40e6, 20 * sim::kMillisecond, 1500,
-        /*count_per_replication=*/3, 10 * sim::kMillisecond,
-        /*replications=*/4, /*base_seed=*/7, jobs);
+  auto run = [](std::size_t jobs) {
+    BatchRunner batch(jobs);
+    return batch.map_seeded(
+        /*count=*/4, /*base_seed=*/7, [](std::size_t, std::uint64_t seed) {
+          core::SingleHopConfig cfg;
+          cfg.seed = seed;
+          core::Scenario sc = core::Scenario::single_hop(cfg);
+          return core::collect_direct_samples(
+              sc, 50e6, 40e6, 20 * sim::kMillisecond, 1500,
+              /*count=*/3, 10 * sim::kMillisecond);
+        });
   };
   auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   auto r1 = run(1);

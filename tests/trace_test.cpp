@@ -46,11 +46,11 @@ TEST(PacketTrace, MeanUtilization) {
   EXPECT_NEAR(tr.mean_utilization(), 1.1, 0.15);  // 11 pkts / 10 ms span
 }
 
-TEST(PacketTrace, ToReplayRoundTrips) {
+TEST(PacketTrace, RecordsKeepTimesAndSizes) {
   trace::PacketTrace tr(10e6);
   tr.add(5, 100);
   tr.add(10, 200);
-  auto recs = tr.to_replay();
+  const std::vector<traffic::ReplayRecord>& recs = tr.records();
   ASSERT_EQ(recs.size(), 2u);
   EXPECT_EQ(recs[1].at, 10);
   EXPECT_EQ(recs[1].size_bytes, 200u);
@@ -244,7 +244,7 @@ TEST(SyntheticTrace, ReplayReproducesUtilization) {
   sim::Path path(simu, {lc});
   sim::CountingSink sink;
   path.set_receiver(&sink);
-  traffic::TraceGenerator gen(simu, path, 0, false, 1, tr.to_replay());
+  traffic::TraceGenerator gen(simu, path, 0, false, 1, tr.records());
   gen.start(0, 2 * cfg.duration);
   simu.run_until_idle();
 

@@ -149,6 +149,24 @@ TEST(SimTransportIdentity, CapacityEstimatorBitIdentical) {
   EXPECT_EQ(via_session, via_transport);
 }
 
+// Scenario::transport() returns SimTransport&, so a one-argument call
+// binds to SimTransport's own default lead-in, which must be the base's.
+TEST(SimTransport, DefaultLeadInMatchesExplicitMillisecond) {
+  core::Scenario sc_default = twin_scenario();
+  core::Scenario sc_explicit = twin_scenario();
+  const probe::StreamSpec spec = probe::StreamSpec::periodic(20e6, 1500, 40);
+  probe::StreamResult a = sc_default.transport().send_stream(spec);
+  probe::StreamResult b =
+      sc_explicit.transport().send_stream(spec, sim::kMillisecond);
+  ASSERT_EQ(a.packets.size(), b.packets.size());
+  for (std::size_t i = 0; i < a.packets.size(); ++i) {
+    EXPECT_EQ(a.packets[i].sent, b.packets[i].sent) << "packet " << i;
+    EXPECT_EQ(a.packets[i].received, b.packets[i].received) << "packet " << i;
+    EXPECT_EQ(a.packets[i].lost, b.packets[i].lost) << "packet " << i;
+  }
+  EXPECT_EQ(sc_default.simulator().now(), sc_explicit.simulator().now());
+}
+
 TEST(SimTransport, ExposesSessionAndClock) {
   core::Scenario sc = twin_scenario();
   probe::SimTransport& t = sc.transport();
