@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "probe/stream_spec.hpp"
+#include "sim/event_line.hpp"
 #include "stats/moments.hpp"
 
 namespace abw::est {
@@ -29,6 +30,16 @@ double half_step_growth_ms(const std::vector<double>& d) {
   std::vector<double> b(d.begin() + static_cast<std::ptrdiff_t>(half), d.end());
   return stats::mean(b) - stats::mean(a);
 }
+
+// One per-hop "traceroute" sample: every hop's current delay, in ms.
+struct DelaySample {
+  sim::Path* path = nullptr;
+  std::vector<std::vector<double>>* delays_ms = nullptr;  // one row per hop
+  void operator()() const {
+    for (std::size_t h = 0; h < delays_ms->size(); ++h)
+      (*delays_ms)[h].push_back(sim::to_millis(path->link(h).current_delay()));
+  }
+};
 
 }  // namespace
 
@@ -64,18 +75,16 @@ Estimate Bfind::do_estimate(probe::Transport& transport) {
       sim::Simulator& sim = session->simulator();
       sim::Path& path = session->path();
       std::size_t hops = path.hop_count();
-      // Schedule the per-hop "traceroute" samples for this step, then flood.
+      // Line up the per-hop "traceroute" samples for this step, then flood.
       std::vector<std::vector<double>> delays_ms(hops);
+      sim::EventLine<DelaySample> samplers(sim);
       sim::SimTime step_start = sim.now() + sim::kMillisecond;
       for (sim::SimTime t = step_start; t < step_start + cfg_.step_duration;
-           t += cfg_.sample_interval) {
-        sim.at(t, [&path, &delays_ms, hops] {
-          for (std::size_t h = 0; h < hops; ++h)
-            delays_ms[h].push_back(sim::to_millis(path.link(h).current_delay()));
-        });
-      }
+           t += cfg_.sample_interval)
+        samplers.push(t, DelaySample{&path, &delays_ms});
       session->send_stream(spec, step_start);
-      // Ensure all samplers fired even if the stream drained early.
+      // Ensure all samplers fired even if the stream drained early: the
+      // line must be empty before it goes out of scope.
       sim.run_until(step_start + cfg_.step_duration);
 
       // A hop is flagged when its mean queueing delay in the second half

@@ -114,7 +114,7 @@ Estimate Estimator::estimate(probe::Transport& transport) {
       timer_key += name();
       timer_key += ".seconds";
     }
-    obs::ScopedTimer timer(metrics_, timer_key);
+    obs::ScopedTimer timer(metrics_ ? &metrics_->timer(timer_key) : nullptr);
     e = do_estimate(transport);
   }
 

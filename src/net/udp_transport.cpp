@@ -122,8 +122,7 @@ bool UdpTransport::ensure_session() {
 
 probe::StreamResult UdpTransport::send_stream(const probe::StreamSpec& spec,
                                               sim::SimTime lead_in) {
-  if (spec.packets.empty())
-    throw std::invalid_argument("UdpTransport: empty stream");
+  spec.validate();
 
   probe::StreamResult result;
   result.stream_id = next_stream_id_++;

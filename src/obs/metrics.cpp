@@ -141,22 +141,11 @@ void MetricsRegistry::write_json(std::ostream& out, bool include_timers) const {
   out << to_json(include_timers) << '\n';
 }
 
-ScopedTimer::ScopedTimer(MetricsRegistry* registry, std::string_view name) {
-  if (!registry) return;
-  stat_ = &registry->timer(name);
-  start_ns_ = static_cast<std::uint64_t>(
+std::uint64_t ScopedTimer::steady_ns() {
+  return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-ScopedTimer::~ScopedTimer() {
-  if (!stat_) return;
-  auto now_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-  stat_->record(static_cast<double>(now_ns - start_ns_) * 1e-9);
 }
 
 }  // namespace abw::obs

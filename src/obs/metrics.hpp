@@ -84,20 +84,29 @@ class MetricsRegistry {
   std::map<std::string, TimerStat, std::less<>> timers_;
 };
 
-/// RAII wall-clock timer: records elapsed seconds into
-/// `registry->timer(name)` on destruction.  A null registry makes both
-/// constructor and destructor no-ops (no clock read), so always-on call
-/// sites cost one branch when profiling is disabled.
+/// RAII wall-clock timer: records elapsed seconds into a TimerStat on
+/// destruction.  A null stat makes both constructor and destructor no-ops
+/// (no clock read), so always-on call sites cost one branch when
+/// profiling is disabled.
 class ScopedTimer {
  public:
-  ScopedTimer(MetricsRegistry* registry, std::string_view name);
-  ~ScopedTimer();
+  /// Records into `stat`.  Hot paths resolve it once per attached
+  /// registry instead of looking it up by name on every call.
+  explicit ScopedTimer(TimerStat* stat) : stat_(stat) {
+    if (stat_) start_ns_ = steady_ns();
+  }
+
+  ~ScopedTimer() {
+    if (stat_) stat_->record(static_cast<double>(steady_ns() - start_ns_) * 1e-9);
+  }
 
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
  private:
-  TimerStat* stat_ = nullptr;  // resolved once at construction
+  static std::uint64_t steady_ns();  // the monotonic clock, in ns
+
+  TimerStat* stat_ = nullptr;
   std::uint64_t start_ns_ = 0;
 };
 

@@ -5,7 +5,7 @@
 namespace abw::probe {
 
 ProbeSession::ProbeSession(sim::Simulator& sim, sim::Path& path)
-    : sim_(sim), path_(path) {
+    : sim_(sim), path_(path), sends_(sim) {
   probe_sink_.set_on_packet([this](const sim::Packet& pkt) {
     on_probe(pkt, sim_.now());
   });
@@ -13,9 +13,13 @@ ProbeSession::ProbeSession(sim::Simulator& sim, sim::Path& path)
   path_.set_receiver(&demux_);
 }
 
+void ProbeSession::set_drain_timeout(sim::SimTime t) {
+  if (t < 0) throw std::invalid_argument("ProbeSession: negative drain timeout");
+  drain_timeout_ = t;
+}
+
 StreamResult ProbeSession::send_stream(const StreamSpec& spec, sim::SimTime start) {
-  if (spec.packets.empty())
-    throw std::invalid_argument("ProbeSession: empty stream");
+  spec.validate();
   if (start < sim_.now())
     throw std::invalid_argument("ProbeSession: start in the past");
   if (active_ != nullptr)
@@ -28,9 +32,12 @@ StreamResult ProbeSession::send_stream(const StreamSpec& spec, sim::SimTime star
   if (cost_.streams == 0) cost_.first_send = start;
   ++cost_.streams;
 
+  // Each send carries its packet's identity by value, so no pending send
+  // refers to this frame or to the caller's spec.
   for (std::size_t i = 0; i < spec.packets.size(); ++i) {
     const ProbePacketSpec& ps = spec.packets[i];
-    result.packets[i].seq = static_cast<std::uint32_t>(i);
+    const auto seq = static_cast<std::uint32_t>(i);
+    result.packets[i].seq = seq;
     result.packets[i].size_bytes = ps.size_bytes;
     result.packets[i].sent = start + ps.offset;
     result.packets[i].lost = true;  // cleared on arrival
@@ -38,17 +45,7 @@ StreamResult ProbeSession::send_stream(const StreamSpec& spec, sim::SimTime star
     cost_.packets++;
     cost_.bytes += ps.size_bytes;
 
-    sim_.at(start + ps.offset, [this, i, &result, &spec] {
-      sim::Packet pkt;
-      pkt.id = sim_.next_packet_id();
-      pkt.type = sim::PacketType::kProbe;
-      pkt.measurement = true;  // excluded from cross-traffic ground truth
-      pkt.size_bytes = spec.packets[i].size_bytes;
-      pkt.stream_id = result.stream_id;
-      pkt.seq = static_cast<std::uint32_t>(i);
-      pkt.send_time = sim_.now();
-      path_.inject(0, pkt);
-    });
+    sends_.push(start + ps.offset, Send{this, result.stream_id, seq, ps.size_bytes});
   }
 
   active_ = &result;
@@ -96,6 +93,18 @@ StreamResult ProbeSession::send_stream(const StreamSpec& spec, sim::SimTime star
 StreamResult ProbeSession::send_stream_now(const StreamSpec& spec,
                                            sim::SimTime lead_in) {
   return send_stream(spec, sim_.now() + lead_in);
+}
+
+void ProbeSession::send_probe(const Send& s) {
+  sim::Packet pkt;
+  pkt.id = sim_.next_packet_id();
+  pkt.type = sim::PacketType::kProbe;
+  pkt.measurement = true;  // excluded from cross-traffic ground truth
+  pkt.size_bytes = s.size_bytes;
+  pkt.stream_id = s.stream_id;
+  pkt.seq = s.seq;
+  pkt.send_time = sim_.now();
+  path_.inject(0, pkt);
 }
 
 void ProbeSession::on_probe(const sim::Packet& pkt, sim::SimTime now) {

@@ -13,6 +13,7 @@
 #include "probe/receiver_state.hpp"
 #include "probe/stream_result.hpp"
 #include "probe/stream_spec.hpp"
+#include "sim/event_line.hpp"
 #include "sim/node.hpp"
 #include "sim/path.hpp"
 #include "sim/simulator.hpp"
@@ -64,7 +65,9 @@ class ProbeSession {
   /// losses).  A stream still missing packets returns at the last event
   /// at or before that deadline in packet mode, and exactly at the
   /// deadline in hybrid mode, where cross traffic schedules no events.
-  /// Returns the receiver's measurements.
+  /// Returns the receiver's measurements.  Throws std::invalid_argument,
+  /// with the session unchanged, for a spec StreamSpec::validate()
+  /// rejects or a start in the past.
   StreamResult send_stream(const StreamSpec& spec, sim::SimTime start);
 
   /// Convenience: sends starting `lead_in` after now.
@@ -78,7 +81,8 @@ class ProbeSession {
   sim::TypeDemux& demux() { return demux_; }
 
   /// Maximum time to wait for in-flight packets after the last send.
-  void set_drain_timeout(sim::SimTime t) { drain_timeout_ = t; }
+  /// Throws std::invalid_argument when negative.
+  void set_drain_timeout(sim::SimTime t);
 
   /// The simulation kernel and path this session probes (estimators that
   /// drive their own workloads, e.g. BFind, need them).
@@ -97,6 +101,17 @@ class ProbeSession {
   obs::TraceSink* trace() const { return trace_; }
 
  private:
+  // One planned send: what the probe packet carries besides its id and
+  // send time, which it gets when it leaves.
+  struct Send {
+    ProbeSession* session = nullptr;
+    std::uint32_t stream_id = 0;
+    std::uint32_t seq = 0;
+    std::uint32_t size_bytes = 0;
+    void operator()() const { session->send_probe(*this); }
+  };
+
+  void send_probe(const Send& s);
   void on_probe(const sim::Packet& pkt, sim::SimTime now);
 
   sim::Simulator& sim_;
@@ -108,6 +123,9 @@ class ProbeSession {
   stats::Rng clock_rng_{0xC10CC10C};  ///< timestamping-jitter stream
   obs::TraceSink* trace_ = nullptr;   ///< not owned; nullptr = tracing off
 
+  // The stream's sends, all pushed when it starts: one queue entry for the
+  // whole stream (sim/event_line.hpp).
+  sim::EventLine<Send> sends_;
   std::uint32_t next_stream_id_ = 1;
   // In-flight stream state (one stream at a time, like real tools).
   StreamResult* active_ = nullptr;

@@ -18,6 +18,18 @@ sim::SimTime StreamSpec::span() const {
   return packets.back().offset - packets.front().offset;
 }
 
+void StreamSpec::validate() const {
+  if (packets.empty()) throw std::invalid_argument("StreamSpec: empty stream");
+  sim::SimTime prev = 0;
+  for (const ProbePacketSpec& p : packets) {
+    if (p.offset < prev)
+      throw std::invalid_argument(
+          p.offset < 0 ? "StreamSpec: negative send offset"
+                       : "StreamSpec: send offsets decrease");
+    prev = p.offset;
+  }
+}
+
 StreamSpec StreamSpec::periodic(double rate_bps, std::uint32_t size,
                                 std::size_t count) {
   if (rate_bps <= 0.0 || size == 0 || count == 0)

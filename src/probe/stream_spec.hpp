@@ -37,6 +37,11 @@ struct StreamSpec {
 
   std::size_t size() const { return packets.size(); }
 
+  /// Throws std::invalid_argument unless the stream can be sent: it has
+  /// a packet, and its offsets are >= 0 and never decrease.  Every
+  /// transport checks this before it changes any state.
+  void validate() const;
+
   /// Periodic train of `count` packets of `size` bytes at `rate_bps`.
   static StreamSpec periodic(double rate_bps, std::uint32_t size, std::size_t count);
 

@@ -149,7 +149,7 @@ void FluidQueue::absorb(const SimTime* times, const std::uint32_t* sizes,
                         std::size_t n, SimTime record_until) {
   // Per-chunk, not per-arrival: one branch (null registry) or one clock
   // pair per absorbed chunk of arrivals.
-  obs::ScopedTimer timer(link_.sim_.metrics(), "fluid.absorb");
+  obs::ScopedTimer timer(link_.sim_.absorb_timer());
   LinkStats& st = link_.stats_;
   const std::uint64_t limit = link_.cfg_.queue_limit_bytes;
   const bool tapped = static_cast<bool>(link_.tap_);

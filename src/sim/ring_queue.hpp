@@ -22,13 +22,13 @@ class RingQueue {
 
   void push_back(const T& v) {
     if (count_ == buf_.size()) grow();
-    buf_[(head_ + count_) & (buf_.size() - 1)] = v;
+    buf_[(head_ + count_) & mask_] = v;
     ++count_;
   }
 
   void push_back(T&& v) {
     if (count_ == buf_.size()) grow();
-    buf_[(head_ + count_) & (buf_.size() - 1)] = std::move(v);
+    buf_[(head_ + count_) & mask_] = std::move(v);
     ++count_;
   }
 
@@ -36,7 +36,7 @@ class RingQueue {
   const T& front() const { return buf_[head_]; }
 
   void pop_front() {
-    head_ = (head_ + 1) & (buf_.size() - 1);
+    head_ = (head_ + 1) & mask_;
     --count_;
   }
 
@@ -51,12 +51,14 @@ class RingQueue {
     std::size_t new_cap = buf_.empty() ? 16 : buf_.size() * 2;
     std::vector<T> next(new_cap);
     for (std::size_t i = 0; i < count_; ++i)
-      next[i] = std::move(buf_[(head_ + i) & (buf_.size() - 1)]);
+      next[i] = std::move(buf_[(head_ + i) & mask_]);
     buf_ = std::move(next);
     head_ = 0;
+    mask_ = new_cap - 1;
   }
 
   std::vector<T> buf_;  // capacity always a power of two (or empty)
+  std::size_t mask_ = 0;  // buf_.size() - 1 once allocated
   std::size_t head_ = 0;
   std::size_t count_ = 0;
 };

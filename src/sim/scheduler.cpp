@@ -1,5 +1,6 @@
 #include "sim/scheduler.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -7,6 +8,12 @@ namespace abw::sim {
 
 void Scheduler::throw_past_event() {
   throw std::logic_error("Scheduler::schedule: event in the past");
+}
+
+void Scheduler::throw_bad_reserved() {
+  throw std::logic_error(
+      "Scheduler::schedule_reserved: key not after the last popped event, "
+      "or sequence number not reserved");
 }
 
 void Scheduler::throw_seq_overflow() {
@@ -22,25 +29,33 @@ std::uint32_t Scheduler::acquire_fresh_slot() {
 }
 
 SimTime Scheduler::next_time() const {
-  if (heap_.empty()) throw std::logic_error("Scheduler::next_time: empty");
-  return heap_.front().time;
+  if (empty()) throw std::logic_error("Scheduler::next_time: empty");
+  return heap_[head_].time;
 }
 
-Scheduler::Entry Scheduler::remove_top() {
-  if (heap_.empty()) throw std::logic_error("Scheduler::pop: empty");
+void Scheduler::throw_pop_empty() {
+  throw std::logic_error("Scheduler::pop: empty");
+}
+
+void Scheduler::to_heap() {
+  // An array sorted by key is already a valid min-heap: every parent
+  // index is below its children's.
+  compact();
+  sorted_ = false;
+}
+
+Scheduler::Entry Scheduler::remove_heap_top() {
   Entry top = heap_.front();
-#if defined(__GNUC__)
-  // The callback slot is a data-dependent load; start it while the sift
-  // below reshuffles the heap.
-  __builtin_prefetch(&slot_ref(top.slot()));
-#endif
   Entry last = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) {
     heap_.front() = last;
     sift_down(0);
   }
-  last_popped_ = top.time;
+  if (heap_.size() <= kSortedMin) {  // drained: back to a sorted run
+    std::sort(heap_.begin(), heap_.end(), before);
+    sorted_ = true;
+  }
   return top;
 }
 

@@ -7,12 +7,11 @@
 // slot when scheduled and executed in place when popped, with zero heap
 // allocations and zero callback moves at steady state (the callback type
 // stores its capture inline; see callback.hpp).  Ordering lives in a
-// separate 4-ary min-heap of plain 24-byte (time, seq, slot) records:
-// sifts move small PODs instead of whole events and the tree is half as
-// deep as a binary heap.  The observable behavior — FIFO tie-breaks, the
-// schedule-in-the-past contract — is bit-identical to the previous
-// std::function binary-heap implementation (pinned by
-// tests/golden_determinism_test.cpp).
+// separate array of plain 16-byte (time, seq·slot) records: a sorted run
+// while few events are pending, a 4-ary min-heap while many are.  The
+// observable behavior — FIFO tie-breaks, the schedule-in-the-past
+// contract — is bit-identical to the previous std::function binary-heap
+// implementation (pinned by tests/golden_determinism_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -64,8 +63,28 @@ class Scheduler {
     push_entry(t, slot);
   }
 
+  /// Takes the next sequence number without scheduling anything, so an
+  /// event keeps the tie-break position of this moment while it is
+  /// queued later, with schedule_reserved().  Only EventLine
+  /// (sim/event_line.hpp) reserves.
+  std::uint64_t reserve_seq() { return take_seq(); }
+
+  /// Schedules `f` at `t` under `seq`, a number from reserve_seq() that
+  /// no event carries yet.  The (t, seq) key must sort after the most
+  /// recently popped event: a key at or before it throws
+  /// std::logic_error, as does a number that was never reserved.
+  template <typename F>
+  void schedule_reserved(SimTime t, std::uint64_t seq, F&& f) {
+    if (t < last_popped_ || (t == last_popped_ && seq < popped_seq_end_) ||
+        seq >= next_seq_)
+      throw_bad_reserved();
+    std::uint32_t slot = acquire_slot(t);
+    slot_ref(slot).emplace(std::forward<F>(f));
+    insert(Entry{t, (seq << kSlotBits) | slot});
+  }
+
   /// True when no events remain.
-  bool empty() const { return heap_.empty(); }
+  bool empty() const { return heap_.size() == head_; }
 
   /// Time of the earliest pending event; throws std::logic_error when the
   /// queue is empty (like pop() — callers must check empty() first).
@@ -74,7 +93,7 @@ class Scheduler {
   /// next_time() without the empty check — for run loops that already
   /// test empty() every step and can't pay an out-of-line call per event.
   /// Precondition: !empty().
-  SimTime next_time_unchecked() const { return heap_.front().time; }
+  SimTime next_time_unchecked() const { return heap_[head_].time; }
 
   /// Removes and returns the earliest event (does NOT run it).
   Event pop();
@@ -94,7 +113,7 @@ class Scheduler {
   }
 
   /// Number of pending events.
-  std::size_t size() const { return heap_.size(); }
+  std::size_t size() const { return heap_.size() - head_; }
 
   /// High-water mark of pending events over the scheduler's lifetime.
   std::size_t peak_size() const { return peak_size_; }
@@ -148,14 +167,23 @@ class Scheduler {
     Entry& front() { return base_[0]; }
     const Entry& front() const { return base_[0]; }
     Entry& back() { return base_[size_ - 1]; }
+    Entry* begin() { return base_; }
+    Entry* end() { return base_ + size_; }
     bool empty() const { return size_ == 0; }
     std::size_t size() const { return size_; }
+    bool full() const { return size_ == cap_; }
 
     void push_back(const Entry& e) {
       if (size_ == cap_) grow(size_ + 1);
       base_[size_++] = e;
     }
     void pop_back() { --size_; }
+    void clear() { size_ = 0; }
+    // Drops the first k entries, moving the rest to the front.
+    void drop_front(std::size_t k) {
+      std::memmove(base_, base_ + k, (size_ - k) * sizeof(Entry));
+      size_ -= k;
+    }
     void reserve(std::size_t n) {
       if (n > cap_) grow(n);
     }
@@ -225,11 +253,61 @@ class Scheduler {
     return acquire_fresh_slot();
   }
 
-  void push_entry(SimTime t, std::uint32_t slot) {
+  std::uint64_t take_seq() {
     if (next_seq_ >= kSeqLimit) throw_seq_overflow();
-    heap_.push_back(Entry{t, (next_seq_++ << kSlotBits) | slot});
-    sift_up(heap_.size() - 1);
-    if (heap_.size() > peak_size_) peak_size_ = heap_.size();
+    return next_seq_++;
+  }
+
+  void push_entry(SimTime t, std::uint32_t slot) {
+    insert(Entry{t, (take_seq() << kSlotBits) | slot});
+  }
+
+  void insert(const Entry& e) {
+    if (!sorted_ || size() >= kSortedMax) {
+      if (sorted_) to_heap();
+      heap_.push_back(e);
+      sift_up(heap_.size() - 1);
+    } else {
+      // Walk in from the back: a new event usually falls due after most
+      // of those pending (a delivery after propagation, a source's next
+      // arrival), so it settles within a few steps.
+      if (heap_.full() && head_ != 0) compact();
+      std::size_t i = heap_.size();
+      heap_.push_back(e);
+      while (i > head_ && before(e, heap_[i - 1])) {
+        heap_[i] = heap_[i - 1];
+        --i;
+      }
+      heap_[i] = e;
+    }
+    if (size() > peak_size_) peak_size_ = size();
+  }
+
+  Entry remove_top() {  // pops the earliest entry, updates last_popped_
+    if (empty()) throw_pop_empty();
+#if defined(__GNUC__)
+    // The callback slot is a data-dependent load; start it while the
+    // heap below reshuffles.
+    __builtin_prefetch(&slot_ref(heap_[head_].slot()));
+#endif
+    Entry top{};
+    if (sorted_) {
+      top = heap_[head_++];
+      if (head_ == heap_.size()) {
+        heap_.clear();
+        head_ = 0;
+      }
+    } else {
+      top = remove_heap_top();
+    }
+    last_popped_ = top.time;
+    popped_seq_end_ = top.seq() + 1;
+    return top;
+  }
+
+  void compact() {  // sorted run: move the live entries to the front
+    heap_.drop_front(head_);
+    head_ = 0;
   }
 
   void sift_up(std::size_t i) {
@@ -245,18 +323,35 @@ class Scheduler {
 
   [[noreturn]] static void throw_past_event();
   [[noreturn]] static void throw_seq_overflow();
+  [[noreturn]] static void throw_bad_reserved();
+  [[noreturn]] static void throw_pop_empty();
   std::uint32_t acquire_fresh_slot();  // free list empty: grow the slab
-  Entry remove_top();                  // pops the heap, updates last_popped_
+  void to_heap();                      // the sorted run becomes the heap
+  Entry remove_heap_top();  // heap mode: pop the root, maybe sort again
   void sift_down(std::size_t i);
 
   static constexpr std::size_t kArity = 4;
+  // Mode thresholds on the pending count.  A sorted run pops in O(1) and
+  // inserts by a walk from the back, which stays short while few events
+  // are pending; past kSortedMax a random insert would shift too much,
+  // so the run becomes a heap.  The heap is sorted back into a run when
+  // it drains to kSortedMin; the gap keeps a count that hovers near
+  // either threshold from switching on every event.
+  static constexpr std::size_t kSortedMax = 64;
+  static constexpr std::size_t kSortedMin = 16;
 
-  EntryVec heap_;  // 4-ary min-heap on (time, seq), cache-line aligned
+  // The pending keys.  Sorted mode: heap_[head_, size) in (time, seq)
+  // order, earliest first.  Heap mode: a 4-ary min-heap on (time, seq),
+  // with head_ = 0 and child groups cache-line aligned.
+  EntryVec heap_;
+  std::size_t head_ = 0;
+  bool sorted_ = true;
   std::vector<std::unique_ptr<Callback[]>> chunks_;  // stable slot slab
   std::vector<std::uint32_t> free_slots_;            // recycled slot ids
   std::uint32_t next_fresh_slot_ = 0;  // first never-used slot id
   std::uint64_t next_seq_ = 0;
   SimTime last_popped_ = 0;
+  std::uint64_t popped_seq_end_ = 0;  // last popped seq + 1; 0 before any pop
   std::size_t peak_size_ = 0;
 };
 

@@ -72,14 +72,27 @@ class Simulator {
   void reserve_events(std::size_t n) { scheduler_.reserve(n); }
 
   /// Attaches a metrics registry: the drain loops (run_until*) then time
-  /// themselves under "sim.drain" and event counts are snapshotted into
-  /// "sim.events" on each drain.  nullptr (the default) disables
-  /// profiling at the cost of one branch per drain call — never per
+  /// themselves under "sim.drain", event counts are snapshotted into
+  /// "sim.events" on each drain, and FluidQueue::absorb() times itself
+  /// under "fluid.absorb".  Each entry is looked up once per attached
+  /// registry, never per call.  nullptr (the default) disables profiling
+  /// at the cost of one branch per drain or absorb call — never per
   /// event.  Not owned.
-  void set_metrics(obs::MetricsRegistry* m) { metrics_ = m; }
-  obs::MetricsRegistry* metrics() const { return metrics_; }
+  void set_metrics(obs::MetricsRegistry* m);
+
+  /// The attached registry's "fluid.absorb" timer, or nullptr when none
+  /// is attached.  Created on first use, so packet-mode runs never add
+  /// it.
+  obs::TimerStat* absorb_timer() {
+    if (!metrics_) return nullptr;
+    if (!absorb_timer_) absorb_timer_ = &metrics_->timer("fluid.absorb");
+    return absorb_timer_;
+  }
 
  private:
+  template <typename>
+  friend class EventLine;  // the only user of the scheduler's reserved keys
+
   void step();  // pop one event, advance the clock, run the callback
 
   Scheduler scheduler_;
@@ -87,6 +100,11 @@ class Simulator {
   std::uint64_t next_packet_id_ = 1;
   std::uint64_t events_processed_ = 0;
   obs::MetricsRegistry* metrics_ = nullptr;  // not owned; nullptr = off
+  // metrics_'s entries, resolved by set_metrics() (the absorb timer on
+  // first use); all nullptr while detached.
+  obs::TimerStat* drain_timer_ = nullptr;
+  obs::Counter* events_counter_ = nullptr;
+  obs::TimerStat* absorb_timer_ = nullptr;
 };
 
 }  // namespace abw::sim

@@ -19,9 +19,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/mesh_scenario.hpp"
+#include "core/registry.hpp"
 #include "core/scenario.hpp"
 #include "est/mesh.hpp"
 #include "runner/batch.hpp"
@@ -228,6 +230,34 @@ std::uint64_t run_mesh_pairs() {
   return d.h;
 }
 
+/// Every registry tool, one estimate each, on a packet-mode and then on a
+/// hybrid-mode single hop.  Unlike the digests above, which send only
+/// periodic streams, this pins pair trains, chirps and bfind's per-hop
+/// delay samplers in both modes: each estimate's JSON, the time it ended
+/// and the event count so far.
+std::uint64_t run_tools() {
+  Digest d;
+  for (sim::SimMode mode : {sim::SimMode::kPacket, sim::SimMode::kHybrid}) {
+    core::SingleHopConfig cfg;
+    cfg.mode = mode;
+    cfg.trimodal_cross_sizes = true;
+    cfg.seed = 19;
+    auto sc = core::Scenario::single_hop(cfg);
+    core::ToolOptions opt;
+    opt.tight_capacity_bps = cfg.capacity_bps;
+    opt.min_rate_bps = 0.04 * cfg.capacity_bps;
+    opt.max_rate_bps = 1.2 * cfg.capacity_bps;  // bfind's ramp reaches Ct
+    for (const std::string& name : core::available_tools()) {
+      auto tool = core::make_estimator(name, opt, sc.rng());
+      const std::string json = tool->estimate(sc.transport()).to_json();
+      for (char c : json) d.u64(static_cast<unsigned char>(c));
+      d.u64(static_cast<std::uint64_t>(sc.simulator().now()));
+      d.u64(sc.simulator().events_processed());
+    }
+  }
+  return d.h;
+}
+
 // Digests captured from the pre-PR-2 (std::function heap, per-closure
 // link/generator) implementation; see file header for regeneration.
 constexpr std::uint64_t kGoldenCbr = 0x7b3a580e3bfe9d56ull;
@@ -242,6 +272,9 @@ constexpr std::uint64_t kGoldenMesh = 0x54f5484d168c5357ull;
 // (fGn one at a time) instead of pulling them through fill().
 constexpr std::uint64_t kGoldenFgn = 0xbd3c83949ca2410cull;
 constexpr std::uint64_t kGoldenTrace = 0x57282e028358c945ull;
+// Captured while probe sends, link deliveries and bfind's samplers were
+// each scheduled as their own event.
+constexpr std::uint64_t kGoldenTools = 0x56af159c74172390ull;
 
 bool print_mode() { return std::getenv("ABW_GOLDEN_PRINT") != nullptr; }
 
@@ -290,6 +323,10 @@ TEST(GoldenDeterminism, SingleHopFgn) {
 
 TEST(GoldenDeterminism, TraceReplaySource) {
   check("Trace", run_trace_replay(), kGoldenTrace);
+}
+
+TEST(GoldenDeterminism, RegistryToolsBothModes) {
+  check("Tools", run_tools(), kGoldenTools);
 }
 
 /// Running the same scenario twice in one process must give the same

@@ -4,6 +4,11 @@
 // traffic.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
+#include "core/scenario.hpp"
 #include "probe/session.hpp"
 #include "probe/stream_result.hpp"
 #include "probe/stream_spec.hpp"
@@ -192,6 +197,105 @@ TEST(Session, RejectsEmptyAndPastStreams) {
   f.simu.run_until(kSecond);
   auto spec = probe::StreamSpec::periodic(1e6, 100, 2);
   EXPECT_THROW(f.session.send_stream(spec, 0), std::invalid_argument);
+}
+
+// A spec or setting the session rejects must leave it exactly as it was:
+// a send queued before the rejection, or a deadline before the last send,
+// would leave an event pointing at a dead stack frame.  Every case throws
+// with cost() unchanged, and the next valid stream then equals the same
+// stream sent on a fresh twin session.
+void expect_same_result(const probe::StreamResult& a, const probe::StreamResult& b) {
+  EXPECT_EQ(a.stream_id, b.stream_id);
+  EXPECT_EQ(a.duplicate_count, b.duplicate_count);
+  EXPECT_EQ(a.reordered_count, b.reordered_count);
+  ASSERT_EQ(a.packets.size(), b.packets.size());
+  for (std::size_t i = 0; i < a.packets.size(); ++i) {
+    EXPECT_EQ(a.packets[i].seq, b.packets[i].seq);
+    EXPECT_EQ(a.packets[i].size_bytes, b.packets[i].size_bytes);
+    EXPECT_EQ(a.packets[i].sent, b.packets[i].sent);
+    EXPECT_EQ(a.packets[i].received, b.packets[i].received);
+    EXPECT_EQ(a.packets[i].lost, b.packets[i].lost);
+  }
+}
+
+void expect_rejected_cleanly(
+    const std::string& what, const std::function<void(core::Scenario&)>& bad) {
+  SCOPED_TRACE(what);
+  core::SingleHopConfig cfg;
+  cfg.seed = 31;
+  core::Scenario sc = core::Scenario::single_hop(cfg);
+  core::Scenario twin = core::Scenario::single_hop(cfg);
+  const probe::ProbeCost before = sc.session().cost();
+  EXPECT_THROW(bad(sc), std::invalid_argument);
+  const probe::ProbeCost& after = sc.session().cost();
+  EXPECT_EQ(after.streams, before.streams);
+  EXPECT_EQ(after.packets, before.packets);
+  EXPECT_EQ(after.bytes, before.bytes);
+  EXPECT_EQ(after.first_send, before.first_send);
+  EXPECT_EQ(after.last_activity, before.last_activity);
+
+  const auto spec = probe::StreamSpec::periodic(30e6, 1500, 60);
+  const sim::SimTime start = sc.simulator().now() + kMillisecond;
+  ASSERT_EQ(start, twin.simulator().now() + kMillisecond);
+  expect_same_result(sc.session().send_stream(spec, start),
+                     twin.session().send_stream(spec, start));
+  EXPECT_EQ(sc.simulator().now(), twin.simulator().now());
+  EXPECT_EQ(sc.simulator().events_processed(), twin.simulator().events_processed());
+}
+
+TEST(Session, BadStreamInputsLeaveNoStrandedSends) {
+  auto spec_of = [](std::vector<sim::SimTime> offsets) {
+    probe::StreamSpec spec;
+    for (sim::SimTime o : offsets) spec.packets.push_back({o, 1500});
+    return spec;
+  };
+  auto send = [](probe::StreamSpec spec) {
+    return [spec](core::Scenario& sc) {
+      sc.session().send_stream(spec, sc.simulator().now() + kMillisecond);
+    };
+  };
+  expect_rejected_cleanly(
+      "negative offset after valid sends",
+      send(spec_of({0, 100 * kMicrosecond, 200 * kMicrosecond, -kMicrosecond})));
+  expect_rejected_cleanly("negative first offset",
+                                send(spec_of({-kMicrosecond, 0, kMicrosecond})));
+  expect_rejected_cleanly(
+      "decreasing offsets, last packet not the latest",
+      send(spec_of({0, 2 * kMillisecond, kMillisecond})));
+  expect_rejected_cleanly("empty stream", send(probe::StreamSpec{}));
+  expect_rejected_cleanly("negative drain timeout", [](core::Scenario& sc) {
+    sc.session().set_drain_timeout(-kMillisecond);
+  });
+}
+
+TEST(StreamSpec, ValidateAcceptsTiesAndRejectsDisorder) {
+  probe::StreamSpec spec;
+  spec.packets = {{0, 100}, {0, 100}, {5, 100}};
+  EXPECT_NO_THROW(spec.validate());  // simultaneous sends are a valid burst
+  spec.packets.push_back({4, 100});
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  spec.packets = {{-1, 100}};
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+}
+
+// A stream's sends hold one entry in the event queue however long the
+// stream is.  What else is pending is the cross traffic's source and
+// transmitter (packet mode) and one delivery per probe in propagation:
+// 1 ms at 50 Mb/s holds five 1500-byte packets.  In hybrid mode a probe's
+// delivery is scheduled when it joins the fluid queue, so probes waiting
+// in the backlog count too.  Scheduled one by one, the sends alone would
+// put 1,000 entries in the queue when the stream starts.
+TEST(Session, LongStreamKeepsTheEventHeapSmall) {
+  for (sim::SimMode mode : {sim::SimMode::kPacket, sim::SimMode::kHybrid}) {
+    core::SingleHopConfig cfg;
+    cfg.mode = mode;
+    core::Scenario sc = core::Scenario::single_hop(cfg);
+    const auto res =
+        sc.session().send_stream_now(probe::StreamSpec::periodic(20e6, 1500, 1000));
+    EXPECT_EQ(res.lost_count(), 0u);
+    EXPECT_LE(sc.simulator().peak_event_count(), 16u)
+        << (mode == sim::SimMode::kPacket ? "packet" : "hybrid") << " mode";
+  }
 }
 
 // ------------------------------------------- fluid-model identities ----

@@ -4,8 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
+#include "sim/event_line.hpp"
 #include "sim/link.hpp"
 #include "sim/node.hpp"
 #include "sim/path.hpp"
@@ -118,6 +123,59 @@ TEST(Scheduler, PastBoundaryTracksLatestPop) {
   EXPECT_THROW(s.schedule(29, [] {}), std::logic_error);
 }
 
+// The scheduler keeps a few pending events as a sorted run and many as a
+// 4-ary heap.  A seeded workload whose pending count swings across both
+// switch points, on a coarse time grid so ties are common, must pop in
+// exact (time, seq) order whichever form holds the events.
+TEST(Scheduler, PopOrderHoldsAcrossSortedRunAndHeap) {
+  Scheduler s;
+  abw::stats::Rng rng(7);
+  std::set<std::pair<SimTime, std::uint64_t>> pending;  // (time, seq)
+  std::uint64_t next_seq = 0;
+  SimTime now = 0;
+  std::size_t peak = 0;
+  for (int phase = 0; phase < 60; ++phase) {
+    const auto target = static_cast<std::size_t>(
+        rng.uniform_int(0, phase % 3 == 0 ? 200 : 40));
+    while (pending.size() < target) {
+      const SimTime t = now + 10 * rng.uniform_int(0, 12);
+      s.schedule(t, [] {});
+      pending.emplace(t, next_seq++);
+      peak = std::max(peak, pending.size());
+    }
+    while (pending.size() > target) {
+      ASSERT_EQ(s.next_time(), pending.begin()->first);
+      const Scheduler::Event ev = s.pop();
+      ASSERT_EQ(ev.time, pending.begin()->first) << "phase " << phase;
+      ASSERT_EQ(ev.seq, pending.begin()->second) << "phase " << phase;
+      pending.erase(pending.begin());
+      now = ev.time;
+    }
+    ASSERT_EQ(s.size(), pending.size());
+  }
+  EXPECT_EQ(s.peak_size(), peak);
+  EXPECT_GT(peak, 64u) << "the workload never reached heap mode";
+}
+
+// A reserved sequence number keeps its tie-break position, but the key it
+// is finally scheduled under must still sort after the last popped event.
+TEST(Scheduler, ReservedKeyAtOrBeforeLastPopThrows) {
+  Scheduler s;
+  const std::uint64_t early = s.reserve_seq();
+  s.schedule(10, [] {});
+  (void)s.pop();  // last popped: time 10, a later seq than `early`
+  EXPECT_THROW(s.schedule_reserved(5, early, [] {}), std::logic_error);
+  EXPECT_THROW(s.schedule_reserved(10, early, [] {}), std::logic_error);
+  EXPECT_NO_THROW(s.schedule_reserved(11, early, [] {}));
+  const std::uint64_t late = s.reserve_seq();
+  EXPECT_NO_THROW(s.schedule_reserved(10, late, [] {}));
+  EXPECT_THROW(s.schedule_reserved(20, late + 1, [] {}), std::logic_error)
+      << "a number never reserved";
+  // The reserved keys pop in (time, seq) order like any other.
+  EXPECT_EQ(s.pop().seq, late);
+  EXPECT_EQ(s.pop().seq, early);
+}
+
 // ---------------------------------------------------------- simulator ---
 
 TEST(Simulator, ClockAdvancesBeforeCallback) {
@@ -173,6 +231,123 @@ TEST(Simulator, PacketIdsAreUnique) {
   auto a = sim.next_packet_id();
   auto b = sim.next_packet_id();
   EXPECT_NE(a, b);
+}
+
+// --------------------------------------------------------- event line ---
+
+struct Nop {
+  void operator()() const {}
+};
+
+TEST(EventLine, HoldsOneHeapEntry) {
+  Simulator sim;
+  EventLine<Nop> line(sim);
+  for (SimTime t = 0; t < 1000; t += 10) line.push(t, {});
+  EXPECT_EQ(line.size(), 100u);
+  EXPECT_EQ(sim.peak_event_count(), 1u);
+  sim.run_until_idle();
+  EXPECT_TRUE(line.empty());
+  EXPECT_EQ(sim.events_processed(), 100u);
+  EXPECT_EQ(sim.now(), 990);
+}
+
+TEST(EventLine, RejectsDecreasingAndPastTimes) {
+  Simulator sim;
+  EventLine<Nop> line(sim);
+  line.push(10, {});
+  EXPECT_THROW(line.push(5, {}), std::logic_error);
+  sim.run_until(20);
+  EXPECT_THROW(line.push(15, {}), std::logic_error);
+  EXPECT_NO_THROW(line.push(20, {}));
+  sim.run_until_idle();
+  EXPECT_EQ(sim.events_processed(), 2u);
+}
+
+// A seeded random workload on several event lines.  The eager twin runs
+// the same workload with every entry scheduled by Simulator::at() at push
+// time; the lines must reproduce its pop order exactly.  Times sit on a
+// coarse grid so ties are common, and every firing may push more entries
+// onto any line (its own included) and schedule plain events.
+class LineWorkload {
+ public:
+  static constexpr std::size_t kLines = 4;
+  static constexpr SimTime kGrid = 100;
+  static constexpr std::uint64_t kMaxLabels = 4000;
+
+  LineWorkload(bool eager, std::uint64_t seed) : eager_(eager), rng_(seed) {
+    for (std::size_t i = 0; i < kLines; ++i)
+      lines_.push_back(std::make_unique<EventLine<Fire>>(sim_));
+  }
+
+  void run() {
+    for (int i = 0; i < 60; ++i) {
+      const SimTime t = kGrid * rng_.uniform_int(0, 8);
+      if (rng_.uniform01() < 0.8)
+        push(pick_line(), t);
+      else
+        plain(t);
+    }
+    sim_.run_until_idle();
+  }
+
+  const std::vector<std::pair<SimTime, std::uint64_t>>& log() const { return log_; }
+  const Simulator& sim() const { return sim_; }
+
+ private:
+  struct Fire {
+    LineWorkload* w = nullptr;
+    std::uint64_t label = 0;
+    void operator()() const { w->fired(label); }
+  };
+
+  std::size_t pick_line() {
+    return static_cast<std::size_t>(rng_.uniform_int(0, kLines - 1));
+  }
+  SimTime later() { return sim_.now() + kGrid * rng_.uniform_int(0, 3); }
+
+  void push(std::size_t line, SimTime t) {
+    t = std::max(t, last_[line]);  // a line's times never decrease
+    last_[line] = t;
+    const Fire f{this, next_label_++};
+    if (eager_)
+      sim_.at(t, f);
+    else
+      lines_[line]->push(t, f);
+  }
+
+  void plain(SimTime t) { sim_.at(t, Fire{this, next_label_++}); }
+
+  void fired(std::uint64_t label) {
+    log_.emplace_back(sim_.now(), label);
+    if (next_label_ >= kMaxLabels) return;
+    for (auto n = rng_.uniform_int(0, 2); n > 0; --n) push(pick_line(), later());
+    if (rng_.uniform01() < 0.3) plain(later());
+  }
+
+  bool eager_;
+  abw::stats::Rng rng_;
+  Simulator sim_;
+  std::vector<std::unique_ptr<EventLine<Fire>>> lines_;
+  SimTime last_[kLines] = {};
+  std::uint64_t next_label_ = 0;
+  std::vector<std::pair<SimTime, std::uint64_t>> log_;
+};
+
+TEST(EventLine, MatchesEagerSchedulingOnRandomWorkloads) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    LineWorkload lines(false, seed), eager(true, seed);
+    lines.run();
+    eager.run();
+    ASSERT_EQ(lines.log(), eager.log()) << "seed " << seed;
+    EXPECT_EQ(lines.sim().events_processed(), eager.sim().events_processed());
+    EXPECT_GE(lines.log().size(), LineWorkload::kMaxLabels)
+        << "seed " << seed << ": the workload died out early";
+    std::size_t ties = 0;
+    for (std::size_t i = 1; i < lines.log().size(); ++i)
+      ties += lines.log()[i].first == lines.log()[i - 1].first;
+    EXPECT_GT(ties, lines.log().size() / 2) << "seed " << seed;
+    EXPECT_LT(lines.sim().peak_event_count(), eager.sim().peak_event_count());
+  }
 }
 
 // ------------------------------------------------------------- meter ---

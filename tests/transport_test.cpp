@@ -271,6 +271,41 @@ TEST(UdpLoopback, StreamRoundTripMeasuresEveryPacket) {
   EXPECT_EQ(t.cost().streams, 1u);
 }
 
+// UdpTransport checks a spec by the same rule as ProbeSession
+// (StreamSpec::validate) before it touches the socket: a rejected spec
+// opens no session, sends nothing and leaves cost() unchanged.
+TEST(UdpLoopback, RejectsBadSpecsBeforeSending) {
+  auto daemon = try_daemon();
+  REQUIRE_SOCKETS(daemon);
+  net::UdpTransport t(client_config(*daemon));
+  auto spec_of = [](std::vector<sim::SimTime> offsets) {
+    probe::StreamSpec spec;
+    for (sim::SimTime o : offsets) spec.packets.push_back({o, 500});
+    return spec;
+  };
+  const std::vector<probe::StreamSpec> bad = {
+      probe::StreamSpec{},
+      spec_of({-sim::kMicrosecond, 0, sim::kMicrosecond}),
+      spec_of({0, 100 * sim::kMicrosecond, -sim::kMicrosecond}),
+      spec_of({0, 2 * sim::kMillisecond, sim::kMillisecond}),
+  };
+  for (const probe::StreamSpec& spec : bad)
+    EXPECT_THROW(t.send_stream(spec, sim::kMillisecond), std::invalid_argument);
+  EXPECT_FALSE(t.connected());
+  EXPECT_EQ(daemon->stats().datagrams_in, 0u);
+  EXPECT_EQ(t.cost().streams, 0u);
+  EXPECT_EQ(t.cost().packets, 0u);
+  EXPECT_EQ(t.cost().bytes, 0u);
+
+  // The rejections used no stream id either.
+  probe::StreamResult res =
+      t.send_stream(probe::StreamSpec::periodic(10e6, 500, 10), sim::kMillisecond);
+  EXPECT_EQ(res.stream_id, 1u);
+  EXPECT_EQ(res.lost_count(), 0u);
+  EXPECT_EQ(t.cost().streams, 1u);
+  EXPECT_EQ(t.cost().packets, 10u);
+}
+
 TEST(UdpLoopback, CapacityEstimatorEndToEnd) {
   auto daemon = try_daemon();
   REQUIRE_SOCKETS(daemon);
