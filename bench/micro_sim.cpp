@@ -1,7 +1,8 @@
 // Micro-benchmarks of the simulation kernel (google-benchmark): event
-// scheduling throughput, link forwarding, utilization-meter queries, and
-// a full probing round trip.  These bound how large the paper-scale
-// experiments (500-stream curves, multi-minute TCP runs) can get.
+// scheduling throughput, link forwarding, utilization-meter recording and
+// queries, and a full probing round trip.  These bound how large the
+// paper-scale experiments (500-stream curves, multi-minute TCP runs) can
+// get.
 //
 // The two headline benchmarks (BM_SchedulerChurn, BM_LinkForwarding)
 // measure *steady state*: a warm event pool with a constant pending-event
@@ -195,6 +196,35 @@ void BM_MeterSeriesSweep(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(produced));
 }
 BENCHMARK(BM_MeterSeriesSweep);
+
+// The recording path: each iteration fills a fresh meter with 100k busy
+// runs, as a scenario's link does — mixed attribution, and back-to-back
+// runs that coalesce.  The pattern is drawn once, outside the timed loop.
+void BM_MeterRecord(benchmark::State& state) {
+  struct Run {
+    sim::SimTime start, end;
+    bool measurement;
+  };
+  constexpr int kRuns = 100000;
+  stats::Rng rng(7);
+  std::vector<Run> runs;
+  runs.reserve(kRuns);
+  sim::SimTime t = 0;
+  for (int i = 0; i < kRuns; ++i) {
+    if (!rng.bernoulli(0.3)) t += 1 + static_cast<sim::SimTime>(rng.uniform(0.0, 200.0));
+    sim::SimTime len = 1 + static_cast<sim::SimTime>(rng.uniform(0.0, 240.0));
+    runs.push_back({t, t + len, rng.bernoulli(0.2)});
+    t += len;
+  }
+  for (auto _ : state) {
+    sim::UtilizationMeter meter(100e6);
+    for (const Run& r : runs) meter.add_busy(r.start, r.end, r.measurement);
+    benchmark::DoNotOptimize(meter.interval_count());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kRuns);
+}
+BENCHMARK(BM_MeterRecord);
 
 void BM_PoissonTrafficSecond(benchmark::State& state) {
   for (auto _ : state) {

@@ -56,8 +56,10 @@ class UdpTransport final : public probe::Transport {
   explicit UdpTransport(const UdpTransportConfig& cfg);
   ~UdpTransport() override;
 
+  // Repeats the base default: default arguments bind to the static type,
+  // so a call through UdpTransport& would otherwise need both arguments.
   probe::StreamResult send_stream(const probe::StreamSpec& spec,
-                                  sim::SimTime lead_in) override;
+                                  sim::SimTime lead_in = sim::kMillisecond) override;
   sim::SimTime now() override;
   void wait(sim::SimTime duration) override;
   const probe::ProbeCost& cost() const override { return cost_; }

@@ -325,13 +325,6 @@ FluidQueue& Link::enable_fluid(HybridAgent* feeder) {
                            "': fluid already enabled (one source per link)");
   fluid_ = std::make_unique<FluidQueue>(*this);
   fluid_feeder_ = feeder;
-  // The fluid fast path appends one meter interval per busy run with no
-  // event between to amortize growth; unreserved, the vector's doubling
-  // copies cost ~10 ns per absorbed arrival on minute-scale runs.  2^21
-  // intervals covers minutes of sub-saturation traffic without a single
-  // doubling; the 64 MB reservation is address space, not memory — pages
-  // fault in only as intervals are actually appended.
-  meter_.reserve(1 << 21);
   return *fluid_;
 }
 

@@ -11,7 +11,9 @@
 // from avail-bw process variability (the paper's first pitfall).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -21,6 +23,12 @@ namespace abw::sim {
 
 /// Records busy (transmitting) intervals of a link and answers utilization
 /// and avail-bw queries over arbitrary windows.
+///
+/// Storage is two append-only span logs, one for cross traffic and one
+/// for measurement traffic.  Each log holds 16-byte (start, end) records
+/// in fixed 4 KiB blocks that never move, plus one running busy total per
+/// 32 records: an append never copies, and a window query is a binary
+/// search plus at most 31 additions per edge.
 class UtilizationMeter {
  public:
   /// `capacity_bps` is the capacity of the metered link.
@@ -28,32 +36,24 @@ class UtilizationMeter {
 
   /// Records that the link was transmitting during [start, end).
   /// Intervals must be non-overlapping and arrive in time order (links
-  /// transmit one packet at a time); adjacent intervals with the same
-  /// `measurement` attribution are coalesced.  `measurement` marks busy
-  /// time caused by the measurement's own packets (probes, the measured
-  /// TCP flow) so ground truth can be computed against cross traffic only.
+  /// transmit one packet at a time).  An interval that starts where the
+  /// most recent one ended, with the same attribution, extends it.
+  /// `measurement` marks busy time caused by the measurement's own packets
+  /// (probes, the measured TCP flow) so ground truth can be computed
+  /// against cross traffic only.
   ///
-  /// Defined inline: this is called once per busy run of every link in
-  /// BOTH simulation modes, and in hybrid mode it is the single largest
-  /// per-arrival cost of the fluid fast path (each isolated packet is its
-  /// own run), so the call must vanish into the recording sites.
+  /// Defined inline: every busy run of every link records here, in both
+  /// simulation modes.
   void add_busy(SimTime start, SimTime end, bool measurement = false) {
     if (end <= start) fail_add_busy(/*overlap=*/false);
-    if (!iv_.empty()) {
-      Interval& last = iv_.back();
-      if (start < last.end) fail_add_busy(/*overlap=*/true);
-      if (start == last.end && is_meas(iv_.size() - 1) == measurement) {
-        // Back-to-back transmission with the same attribution: extend.
-        last.end = end;
-        last.cum_busy += end - start;
-        if (measurement) last.cum_meas += end - start;
-        return;
-      }
-      iv_.push_back({start, end, last.cum_busy + (end - start),
-                     last.cum_meas + (measurement ? end - start : 0)});
-      return;
-    }
-    iv_.push_back({start, end, end - start, measurement ? end - start : 0});
+    if (start < last_end_) fail_add_busy(/*overlap=*/true);
+    SpanLog& log = measurement ? meas_ : cross_;
+    if (start == last_end_ && last_log_ == static_cast<signed char>(measurement))
+      log.set_back_end(end);  // back-to-back, same attribution: extend
+    else
+      log.push(start, end);
+    last_end_ = end;
+    last_log_ = static_cast<signed char>(measurement);
   }
 
   /// Busy time within [t1, t2), exact (all traffic).
@@ -76,15 +76,15 @@ class UtilizationMeter {
   /// The A_tau(t) series: avail-bw over consecutive windows of length tau
   /// covering [t0, t0 + n*tau) where n = floor((t1 - t0) / tau).
   /// `exclude_measurement` computes the cross-traffic-only series.
-  /// One monotone sweep over the interval index — O(intervals + windows)
-  /// instead of a binary search per window — producing bit-identical
-  /// values to per-window avail_bw()/cross_avail_bw() calls (the Fig. 1/2
-  /// timescale sweeps issue thousands of these).
+  /// One forward pass per span log — O(intervals + windows) instead of a
+  /// binary search per window — producing bit-identical values to
+  /// per-window avail_bw()/cross_avail_bw() calls (the Fig. 1/2 timescale
+  /// sweeps make thousands of these).
   std::vector<double> avail_bw_series(SimTime t0, SimTime t1, SimTime tau,
                                       bool exclude_measurement = false) const;
 
-  /// Pre-sizes interval storage for `n` coalesced intervals, so recording
-  /// stays allocation-free below that count (steady-state hot path).
+  /// Pre-sizes storage so that the next `n` add_busy() calls allocate
+  /// nothing, whatever their attribution (steady-state hot path).
   void reserve(std::size_t n);
 
   /// Records a capacity change effective at `t` (fault injection: link
@@ -102,40 +102,78 @@ class UtilizationMeter {
   std::size_t capacity_step_count() const { return caps_.size(); }
 
   /// Moves the end of the most recent busy interval to `new_end`
-  /// (shrinking or extending it), fixing its prefix sums.  Used when a
-  /// capacity change re-plans the in-service packet: its busy interval
-  /// was recorded with the old completion time and must be corrected in
-  /// place.  `new_end` must stay after the interval's start.
+  /// (shrinking or extending it).  Used when a capacity change re-plans
+  /// the in-service packet: its busy interval was recorded with the old
+  /// completion time and must be corrected in place.  `new_end` must stay
+  /// after the interval's start.
   void amend_last_end(SimTime new_end);
 
   /// Capacity this meter was constructed with (bits/s).
   double capacity_bps() const { return capacity_bps_; }
 
   /// Number of stored (coalesced) busy intervals.
-  std::size_t interval_count() const { return iv_.size(); }
+  std::size_t interval_count() const { return cross_.size() + meas_.size(); }
 
  private:
-  /// One coalesced busy interval with its running prefix sums.  A single
-  /// contiguous record per interval keeps add_busy() to one push_back —
-  /// the recording path is hot in both simulation modes (every busy run
-  /// of every link), and the old five parallel vectors (incl. a
-  /// std::vector<bool>) cost ~3x as much per record with worse locality
-  /// on the query side, for identical stored values.
-  struct Interval {
-    SimTime start = 0;
-    SimTime end = 0;
-    SimTime cum_busy = 0;  ///< prefix sum of busy durations through here
-    SimTime cum_meas = 0;  ///< prefix sum of measurement-attributed busy
+  /// The busy intervals of one attribution: sorted, disjoint (start, end)
+  /// spans, appended in time order into fixed blocks that never move.
+  /// group_base_[g] holds the busy total of the spans before span 32g, so
+  /// the total before any span costs at most 31 additions.  A group's
+  /// base is written when its first span is, so extending or amending
+  /// the last span only touches total_.
+  class SpanLog {
+   public:
+    struct Span {
+      SimTime start;
+      SimTime end;
+    };
+
+    std::size_t size() const { return size_; }
+    const Span& operator[](std::size_t i) const {
+      return blocks_[i / kBlockSpans][i % kBlockSpans];
+    }
+
+    /// Appends [start, end), which starts at or after the last span's end.
+    void push(SimTime start, SimTime end) {
+      if (size_ % kGroupSpans == 0) open_group();
+      blocks_[size_ / kBlockSpans][size_ % kBlockSpans] = {start, end};
+      total_ += end - start;
+      ++size_;
+    }
+
+    /// Moves the end of the last span (there must be one) to `end`.
+    void set_back_end(SimTime end) {
+      Span& last = blocks_[(size_ - 1) / kBlockSpans][(size_ - 1) % kBlockSpans];
+      total_ += end - last.end;
+      last.end = end;
+    }
+
+    /// Busy time of the spans within [t1, t2).
+    SimTime overlap(SimTime t1, SimTime t2) const;
+
+    /// Adds to busy[k] the busy time within window k, [t0 + k*tau,
+    /// t0 + (k+1)*tau), in one forward pass.
+    void add_window_overlaps(SimTime t0, SimTime tau,
+                             std::vector<SimTime>& busy) const;
+
+    /// Allocates so that the next `n` pushes allocate nothing.
+    void reserve(std::size_t n);
+
+   private:
+    static constexpr std::size_t kBlockSpans = 256;  ///< 4 KiB per block
+    static constexpr std::size_t kGroupSpans = 32;   ///< spans per base
+
+    /// Busy total of spans [0, i), i <= size().
+    SimTime prefix(std::size_t i) const;
+
+    /// Cold path of push(): starts a group, and a block when full.
+    void open_group();
+
+    std::vector<std::vector<Span>> blocks_;  ///< kBlockSpans spans each
+    std::vector<SimTime> group_base_;
+    std::size_t size_ = 0;
+    SimTime total_ = 0;  ///< busy total of all spans, prefix(size_)
   };
-
-  /// Attribution of interval i: measurement intervals contribute their
-  /// full (positive) duration to cum_meas, cross intervals contribute 0.
-  bool is_meas(std::size_t i) const {
-    return iv_[i].cum_meas != (i == 0 ? 0 : iv_[i - 1].cum_meas);
-  }
-
-  /// [lo, hi) interval-index range overlapping window [t1, t2).
-  std::pair<std::size_t, std::size_t> window_range(SimTime t1, SimTime t2) const;
 
   /// Cold path of add_busy(): throws the matching exception.
   [[noreturn]] void fail_add_busy(bool overlap) const;
@@ -151,9 +189,12 @@ class UtilizationMeter {
   double free_bits(SimTime t1, SimTime t2, bool exclude_measurement) const;
 
   double capacity_bps_;
-  // Sorted by start; intervals are disjoint, enabling binary-search
-  // queries.
-  std::vector<Interval> iv_;
+  SpanLog cross_;  ///< intervals recorded with measurement == false
+  SpanLog meas_;   ///< intervals recorded with measurement == true
+  /// End and attribution (0 cross, 1 measurement, -1 none yet) of the most
+  /// recent interval: the overlap check and the coalescing rule.
+  SimTime last_end_ = std::numeric_limits<SimTime>::min();
+  signed char last_log_ = -1;
   // Capacity steps (time, bps), time-ordered; empty for static links.
   std::vector<std::pair<SimTime, double>> caps_;
 };

@@ -525,6 +525,111 @@ TEST(UtilizationMeter, SeriesSweepMatchesPerWindowQueries) {
   }
 }
 
+// ref_busy over a sorted, disjoint reference: starts at the first
+// interval ending after t1 and stops at the first starting at/after t2.
+SimTime ref_busy_sorted(const std::vector<RefInterval>& iv, SimTime t1,
+                        SimTime t2, bool meas_only) {
+  auto it = std::partition_point(iv.begin(), iv.end(),
+                                 [t1](const RefInterval& i) { return i.end <= t1; });
+  SimTime total = 0;
+  for (; it != iv.end() && it->start < t2; ++it)
+    if (!meas_only || it->meas) total += std::min(it->end, t2) - std::max(it->start, t1);
+  return total;
+}
+
+// The span logs at scale: thousands of appends, so both logs fill several
+// 4 KiB blocks and many 32-span groups.  Mixed attribution with
+// back-to-back runs (coalescing), amend_last_end() after either
+// attribution, and a reserve() mid-sequence.  Windows include ones whose
+// edges sit exactly on a group or block boundary of either log.
+TEST(UtilizationMeter, SpanLogsMatchReferenceAtScale) {
+  constexpr double kCap = 1e8;
+  abw::stats::Rng rng(0x5ca1e);
+  UtilizationMeter m(kCap);
+  std::vector<RefInterval> ref;  // coalesced, as the meter counts them
+  std::size_t amends[2] = {0, 0};
+  SimTime t = 0;
+  for (int i = 0; i < 6000; ++i) {
+    if (i == 2500) m.reserve(4000);
+    if (!rng.bernoulli(0.35)) t += 1 + static_cast<SimTime>(rng.uniform(0.0, 300.0));
+    const SimTime len = 1 + static_cast<SimTime>(rng.uniform(0.0, 200.0));
+    const bool meas = rng.bernoulli(0.4);
+    m.add_busy(t, t + len, meas);
+    if (!ref.empty() && ref.back().end == t && ref.back().meas == meas)
+      ref.back().end = t + len;
+    else
+      ref.push_back({t, t + len, meas});
+    t += len;
+    if (i % 97 == 96) {  // a capacity re-plan moves the last end
+      RefInterval& last = ref.back();
+      t = last.start + 1 +
+          static_cast<SimTime>(rng.uniform(0.0, 2.0 * static_cast<double>(last.end - last.start)));
+      m.amend_last_end(t);
+      last.end = t;
+      ++amends[last.meas];
+    }
+    if (i % 500 == 0) {
+      ASSERT_EQ(m.interval_count(), ref.size()) << "append " << i;
+    }
+  }
+  ASSERT_EQ(m.interval_count(), ref.size());
+  ASSERT_GT(ref.size(), 4000u) << "too much coalescing to fill the logs";
+  ASSERT_LT(ref.size(), 5900u) << "too little coalescing to test it";
+  ASSERT_GT(amends[0], 0u);
+  ASSERT_GT(amends[1], 0u);
+
+  auto check = [&](SimTime t1, SimTime t2) {
+    const SimTime busy = ref_busy_sorted(ref, t1, t2, false);
+    const SimTime meas = ref_busy_sorted(ref, t1, t2, true);
+    EXPECT_EQ(m.busy_time(t1, t2), busy) << "window [" << t1 << ", " << t2 << ")";
+    EXPECT_EQ(m.measurement_busy_time(t1, t2), meas)
+        << "window [" << t1 << ", " << t2 << ")";
+    const double u = static_cast<double>(busy - meas) / static_cast<double>(t2 - t1);
+    EXPECT_DOUBLE_EQ(m.cross_avail_bw(t1, t2), kCap * (1.0 - u))
+        << "window [" << t1 << ", " << t2 << ")";
+  };
+
+  // Group and block boundaries of each log: spans g-1 and g for every
+  // multiple g of 32 (each eighth one also starts a 256-span block).
+  std::vector<RefInterval> logs[2];
+  for (const RefInterval& i : ref) logs[i.meas].push_back(i);
+  for (const auto& log : logs) {
+    ASSERT_GT(log.size(), 3 * 256u) << "a log spans too few blocks";
+    for (std::size_t g = 32; g < log.size(); g += 32) {
+      for (SimTime e : {log[g - 1].start, log[g - 1].end, log[g].start, log[g].end}) {
+        for (SimTime d : {1, 250, 9000}) {
+          check(e, e + d);
+          check(e - d, e);
+        }
+      }
+      check(log[g - 32].start, log[g].start);  // exactly one group
+      check(log[g - 1].end, log[g].start);     // the gap between groups
+      if (g % 256 == 0) check(log[g - 256].start, log[g - 1].end);  // one block
+    }
+  }
+  for (int q = 0; q < 1000; ++q) {
+    const SimTime t1 = static_cast<SimTime>(rng.uniform(0.0, static_cast<double>(t)));
+    check(t1, t1 + 1 + static_cast<SimTime>(rng.uniform(0.0, static_cast<double>(t) / 4)));
+  }
+
+  for (SimTime tau : {997, 4096, 25000}) {
+    for (SimTime t0 : {SimTime{0}, logs[0][256].start, logs[1][512].end}) {
+      for (bool cross : {false, true}) {
+        auto series = m.avail_bw_series(t0, t, tau, cross);
+        ASSERT_EQ(series.size(), static_cast<std::size_t>((t - t0) / tau));
+        for (std::size_t k = 0; k < series.size(); ++k) {
+          const SimTime w1 = t0 + static_cast<SimTime>(k) * tau;
+          SimTime counted = ref_busy_sorted(ref, w1, w1 + tau, false);
+          if (cross) counted -= ref_busy_sorted(ref, w1, w1 + tau, true);
+          const double u = static_cast<double>(counted) / static_cast<double>(tau);
+          ASSERT_DOUBLE_EQ(series[k], kCap * (1.0 - u))
+              << "tau=" << tau << " t0=" << t0 << " cross=" << cross << " window " << k;
+        }
+      }
+    }
+  }
+}
+
 TEST(UtilizationMeter, WindowFullyInsideOneBusyInterval) {
   UtilizationMeter m(8e6);
   m.add_busy(100, 200, /*measurement=*/false);

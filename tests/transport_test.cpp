@@ -149,6 +149,16 @@ TEST(SimTransportIdentity, CapacityEstimatorBitIdentical) {
   EXPECT_EQ(via_session, via_transport);
 }
 
+// Default arguments bind to the static type: each transport repeats the
+// base's lead-in default, so a one-argument call compiles through the
+// derived type too.
+template <typename T>
+concept SendsWithDefaultLeadIn = requires(T& t, const probe::StreamSpec& s) {
+  t.send_stream(s);
+};
+static_assert(SendsWithDefaultLeadIn<probe::SimTransport>);
+static_assert(SendsWithDefaultLeadIn<net::UdpTransport>);
+
 // Scenario::transport() returns SimTransport&, so a one-argument call
 // binds to SimTransport's own default lead-in, which must be the base's.
 TEST(SimTransport, DefaultLeadInMatchesExplicitMillisecond) {
