@@ -96,7 +96,7 @@ int main() {
 
   bool shorter_queue = red.mean_backlog_pkts < 0.7 * tail.mean_backlog_pkts;
   bool comparable_tput = red.throughput_bps > 0.7 * tail.throughput_bps;
-  core::print_check(
+  const bool match = core::print_check(
       std::cout,
       "the amount (and policy) of buffering at the tight link changes what "
       "TCP experiences even though the avail-bw is identical",
@@ -105,5 +105,5 @@ int main() {
       shorter_queue && comparable_tput);
   std::printf("\nimplication: avail-bw alone cannot predict TCP throughput; "
               "buffering policy\nis one of the paper's listed confounders.\n");
-  return 0;
+  return match ? 0 : 1;
 }

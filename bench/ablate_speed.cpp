@@ -74,7 +74,7 @@ int main() {
   }
   table.print(std::cout);
 
-  core::print_check(
+  const bool match = core::print_check(
       std::cout,
       "using fewer or shorter streams reduces the estimation latency with "
       "a penalty in accuracy; duration and stream count are knobs, not "
@@ -86,5 +86,5 @@ int main() {
   std::printf("\nimplication: tool comparisons must hold the latency/overhead "
               "budget fixed\n(see bench/tool_comparison's packets and latency "
               "columns).\n");
-  return 0;
+  return match ? 0 : 1;
 }

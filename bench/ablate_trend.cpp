@@ -114,7 +114,7 @@ int main() {
               "(%s)\n",
               fooled, rescued, core::pct(rescue_rate).c_str());
 
-  core::print_check(
+  const bool match = core::print_check(
       std::cout,
       "a below-avail-bw stream can show Ro < Ri after a cross burst, yet "
       "carry no increasing OWD trend — the OWD series holds more "
@@ -122,5 +122,5 @@ int main() {
       "the trend statistics overturn the majority of the rate-ratio's "
       "burst-induced false alarms (" + core::pct(rescue_rate) + ")",
       fooled > 10 && rescue_rate > 0.6);
-  return 0;
+  return match ? 0 : 1;
 }

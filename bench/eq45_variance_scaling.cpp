@@ -91,7 +91,7 @@ int main() {
               "  self-similar: beta = %.2f   (Eq. 5 with H=%.2f predicts %.2f)\n",
               beta_poisson, beta_lrd, tc.hurst, predicted_lrd);
 
-  core::print_check(
+  const bool match = core::print_check(
       std::cout,
       "for IID-like traffic the variance decays as 1/k; for self-similar "
       "traffic it decays as k^{-2(1-H)}, i.e. much slower",
@@ -103,5 +103,5 @@ int main() {
   std::printf("\nthis is why the averaging time scale must be reported with "
               "any avail-bw\nestimate (pitfalls 1-2), and why short-scale "
               "estimation needs many samples.\n");
-  return 0;
+  return match ? 0 : 1;
 }

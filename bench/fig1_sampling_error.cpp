@@ -16,7 +16,6 @@
 #include "core/report.hpp"
 #include "runner/batch.hpp"
 #include "runner/cli.hpp"
-#include "runner/bench_report.hpp"
 #include "stats/cdf.hpp"
 #include "stats/moments.hpp"
 #include "trace/availbw_process.hpp"
@@ -50,14 +49,13 @@ int main(int argc, char** argv) {
   // trace index (`proc`) is shared read-only across tasks.
   constexpr std::uint64_t kSampleSeed = 20040101;
   const std::size_t grid = 3 * static_cast<std::size_t>(kRepeats);
-  auto flat_errors = runner::timed_speedup_map(
-      "fig1_sampling_error", grid, jobs, [&](std::size_t i) {
-        double tau_ms = taus_ms[i / kRepeats];
-        stats::Rng task_rng(runner::derive_seed(kSampleSeed, i));
-        auto samples =
-            proc.poisson_samples(kSamples, sim::from_millis(tau_ms), task_rng);
-        return stats::relative_error(stats::mean(samples), mean_a);
-      });
+  auto flat_errors = runner::BatchRunner(jobs).map(grid, [&](std::size_t i) {
+    double tau_ms = taus_ms[i / kRepeats];
+    stats::Rng task_rng(runner::derive_seed(kSampleSeed, i));
+    auto samples =
+        proc.poisson_samples(kSamples, sim::from_millis(tau_ms), task_rng);
+    return stats::relative_error(stats::mean(samples), mean_a);
+  });
 
   std::vector<stats::EmpiricalCdf> cdfs;
   std::vector<double> spread;
@@ -82,12 +80,12 @@ int main(int argc, char** argv) {
               "1ms %.1f%%  10ms %.1f%%  100ms %.1f%%\n",
               spread[0] * 100, spread[1] * 100, spread[2] * 100);
 
-  core::print_check(
+  const bool match = core::print_check(
       std::cout,
       "unless tau is 10ms or more, significant errors should be expected "
       "with 20 samples; at 1ms errors are large",
       "error spread grows monotonically as tau shrinks, and the 1ms CDF is "
       "several times wider than the 100ms CDF",
       spread[0] > spread[1] && spread[1] > spread[2] && spread[0] > 3 * spread[2]);
-  return 0;
+  return match ? 0 : 1;
 }

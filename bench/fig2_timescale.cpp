@@ -69,15 +69,16 @@ int main() {
   }
   table.print(std::cout);
 
-  core::print_check(std::cout,
-                    "population and sample standard deviations are almost "
-                    "equal; both decrease with the stream duration",
-                    all_close ? "sample/population ratios stay near 1 and the "
-                                "stddev falls with duration"
-                              : "curves diverged",
-                    all_close && monotone);
+  const bool match = core::print_check(
+      std::cout,
+      "population and sample standard deviations are almost equal; both "
+      "decrease with the stream duration",
+      all_close ? "sample/population ratios stay near 1 and the stddev "
+                  "falls with duration"
+                : "curves diverged",
+      all_close && monotone);
   std::printf("\nconclusion: the probing duration is not an implementation "
               "detail — it is the knob\nthat selects the averaging time "
               "scale of the reported avail-bw.\n");
-  return 0;
+  return match ? 0 : 1;
 }

@@ -64,7 +64,7 @@ int main() {
   double r3 = curves[1][iA].mean_ratio;
   double r5 = curves[2][iA].mean_ratio;
 
-  core::print_check(
+  const bool match = core::print_check(
       std::cout,
       "as the number of tight links increases, the ratio Ro/Ri at the "
       "point Ri = A decreases",
@@ -75,5 +75,5 @@ int main() {
   std::printf("\nimplication: underestimation grows with path depth — an "
               "artifact of the\nmin-based avail-bw definition (Eq. 3), as "
               "the paper notes.\n");
-  return 0;
+  return match ? 0 : 1;
 }

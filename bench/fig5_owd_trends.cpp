@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
                 trace_path.c_str());
   }
 
-  core::print_check(
+  const bool match = core::print_check(
       std::cout,
       "a stream can show Ro < Ri without any increasing OWD trend (cross "
       "burst near the end); OWD statistics carry more information than the "
@@ -111,5 +111,5 @@ int main(int argc, char** argv) {
             "shows both signals agreeing"
           : "no contradictory stream found",
       found_above && found_below);
-  return 0;
+  return match ? 0 : 1;
 }

@@ -71,7 +71,7 @@ int main() {
 
   bool wide_band = (hi - lo) > 0.25 * proc.mean_avail_bw();
   bool overlap = e.valid && e.low_bps < hi && e.high_bps > lo;
-  core::print_check(
+  const bool match = core::print_check(
       std::cout,
       "at tau = 10 ms the avail-bw varies over a wide band (paper: "
       "~60-110 Mbps); iterative probing estimates that variation range, "
@@ -80,5 +80,5 @@ int main() {
           "] is a large fraction of the mean, and the probing-based range "
           "overlaps it",
       wide_band && overlap);
-  return 0;
+  return match ? 0 : 1;
 }

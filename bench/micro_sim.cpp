@@ -42,7 +42,7 @@
 #include "core/experiment.hpp"
 #include "core/scenario.hpp"
 #include "probe/stream_spec.hpp"
-#include "runner/bench_report.hpp"
+#include "runner/cli.hpp"
 #include "sim/fluid.hpp"
 #include "sim/hybrid.hpp"
 #include "sim/link.hpp"

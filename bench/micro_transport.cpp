@@ -35,7 +35,7 @@
 #include "net/udp_transport.hpp"
 #include "probe/stream_spec.hpp"
 #include "probe/transport.hpp"
-#include "runner/bench_report.hpp"
+#include "runner/cli.hpp"
 
 namespace {
 

@@ -89,7 +89,7 @@ int main() {
       std::abs(d_cn - truth) > 2 * std::abs(d_ct - truth);
   bool spruce_biased_with_cn = std::abs(s_cn - truth) > 0.15 * truth;
   bool spruce_broken_with_ct = std::abs(s_ct - truth) > 0.3 * truth;
-  core::print_check(
+  const bool match = core::print_check(
       std::cout,
       "capacity tools estimate the narrow link, which can differ from the "
       "tight link; direct probing then inherits the error",
@@ -98,5 +98,5 @@ int main() {
       "with Ct (narrow!=tight violates its model)",
       cap_is_narrow && direct_wrong_much_worse && spruce_biased_with_cn &&
           spruce_broken_with_ct);
-  return 0;
+  return match ? 0 : 1;
 }

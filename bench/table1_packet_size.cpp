@@ -69,7 +69,7 @@ int main() {
   bool error_decays_with_k =
       err[2][3] < err[2][0] * 0.5 && err[1][3] < err[1][0] * 0.5;
 
-  core::print_check(
+  const bool match = core::print_check(
       std::cout,
       "packet pairs are accurate when cross packets are small (40B), but a "
       "few large packets (1500B) make them significantly inaccurate at "
@@ -77,5 +77,5 @@ int main() {
       "rows reproduce the paper's ordering: Lc=40B row ~0, Lc=1500B row "
       "largest at k=10 and decaying with k",
       small_packets_fine && error_grows_with_lc && error_decays_with_k);
-  return 0;
+  return match ? 0 : 1;
 }

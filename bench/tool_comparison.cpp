@@ -12,7 +12,6 @@
 #include "core/scenario.hpp"
 #include "runner/batch.hpp"
 #include "runner/cli.hpp"
-#include "runner/bench_report.hpp"
 #include "stats/moments.hpp"
 
 using namespace abw;
@@ -79,7 +78,7 @@ std::vector<ToolRun> run_one_seed(core::CrossModel model, std::size_t seed) {
   return runs;
 }
 
-void run_model(core::CrossModel model, std::size_t jobs, bool record_timing) {
+void run_model(core::CrossModel model, std::size_t jobs) {
   struct Agg {
     std::string name, cls;
     stats::RunningStats err, pkts, latency;
@@ -87,16 +86,8 @@ void run_model(core::CrossModel model, std::size_t jobs, bool record_timing) {
   };
   std::vector<Agg> agg;
 
-  auto task = [&](std::size_t seed) { return run_one_seed(model, seed); };
-  std::vector<std::vector<ToolRun>> per_seed;
-  if (record_timing) {
-    // Dual run (jobs=1 then jobs=N) so BENCH_batch.json tracks the
-    // serial-vs-parallel wall time of a full seed batch.
-    per_seed = runner::timed_speedup_map("tool_comparison", kSeeds, jobs, task);
-  } else {
-    runner::BatchRunner batch(jobs);
-    per_seed = batch.map(kSeeds, task);
-  }
+  auto per_seed = runner::BatchRunner(jobs).map(
+      kSeeds, [&](std::size_t seed) { return run_one_seed(model, seed); });
 
   for (const auto& runs : per_seed) {
     if (agg.empty())
@@ -136,9 +127,9 @@ int main(int argc, char** argv) {
   std::size_t jobs = runner::jobs_from_cli(argc, argv);
   std::printf("running %d seeds per model on %zu thread(s) (--jobs/ABW_JOBS)\n",
               kSeeds, jobs);
-  run_model(core::CrossModel::kCbr, jobs, /*record_timing=*/true);
-  run_model(core::CrossModel::kPoisson, jobs, /*record_timing=*/false);
-  run_model(core::CrossModel::kParetoOnOff, jobs, /*record_timing=*/false);
+  run_model(core::CrossModel::kCbr, jobs);
+  run_model(core::CrossModel::kPoisson, jobs);
+  run_model(core::CrossModel::kParetoOnOff, jobs);
   std::printf(
       "\nreading guide: accuracy comparisons are only meaningful at equal\n"
       "overhead and equal averaging time scale (pitfalls 1-3) — the packet\n"

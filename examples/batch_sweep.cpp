@@ -18,7 +18,6 @@
 #include "core/scenario.hpp"
 #include "runner/batch.hpp"
 #include "runner/cli.hpp"
-#include "runner/bench_report.hpp"
 
 int main(int argc, char** argv) {
   using namespace abw;

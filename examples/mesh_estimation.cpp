@@ -19,7 +19,7 @@
 #include "core/mesh_scenario.hpp"
 #include "est/mesh.hpp"
 #include "runner/batch.hpp"
-#include "runner/bench_report.hpp"
+#include "runner/cli.hpp"
 
 using namespace abw;
 

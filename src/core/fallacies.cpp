@@ -367,11 +367,4 @@ FallacyResult run_fallacy(int id, std::uint64_t seed) {
   }
 }
 
-std::vector<FallacyResult> run_all_fallacies(std::uint64_t seed) {
-  std::vector<FallacyResult> out;
-  out.reserve(kFallacyCount);
-  for (int id = 1; id <= kFallacyCount; ++id) out.push_back(run_fallacy(id, seed));
-  return out;
-}
-
 }  // namespace abw::core

@@ -40,7 +40,4 @@ MisconceptionKind fallacy_kind(int id);
 /// Throws std::out_of_range for an unknown id.
 FallacyResult run_fallacy(int id, std::uint64_t seed);
 
-/// Runs all ten in paper order.
-std::vector<FallacyResult> run_all_fallacies(std::uint64_t seed);
-
 }  // namespace abw::core

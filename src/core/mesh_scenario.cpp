@@ -131,17 +131,6 @@ Scenario pair_scenario(const MeshConfig& cfg, std::size_t pair) {
   return sc;
 }
 
-double MeshScenario::nominal_pair_avail_bw(std::size_t p) const {
-  double avail = std::numeric_limits<double>::infinity();
-  for (std::size_t e : routes_.at(p)) {
-    const double rate = e < cfg_.edge_cross_rate_bps.size()
-                            ? cfg_.edge_cross_rate_bps[e]
-                            : 0.0;
-    avail = std::min(avail, topo_.edge(e).link.capacity_bps - rate);
-  }
-  return avail;
-}
-
 double MeshScenario::edge_cross_avail_bw(std::size_t e, sim::SimTime t1,
                                          sim::SimTime t2) const {
   return edge_paths_.at(e)->cross_avail_bw(t1, t2);
@@ -161,24 +150,6 @@ std::vector<double> MeshScenario::ground_truth_matrix(sim::SimTime t1,
   for (std::size_t p = 0; p < pairs_.size(); ++p)
     matrix[p] = pair_ground_truth(p, t1, t2);
   return matrix;
-}
-
-std::size_t MeshScenario::pair_tight_edge(std::size_t p, sim::SimTime t1,
-                                          sim::SimTime t2) const {
-  double best = std::numeric_limits<double>::infinity();
-  std::size_t tight = routes_.at(p).front();
-  for (std::size_t e : routes_.at(p)) {
-    const double avail = edge_cross_avail_bw(e, t1, t2);
-    if (avail < best) {  // ties keep the earliest route edge
-      best = avail;
-      tight = e;
-    }
-  }
-  return tight;
-}
-
-void MeshScenario::set_trace(obs::TraceSink* sink) {
-  for (auto& path : edge_paths_) path->link(0).set_trace(sink);
 }
 
 void MeshScenario::snapshot_metrics(obs::MetricsRegistry& m) const {

@@ -35,7 +35,6 @@
 #include "core/scenario.hpp"
 #include "est/mesh.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 #include "sim/topology.hpp"
 
@@ -72,9 +71,7 @@ class MeshScenario {
   MeshScenario(const MeshScenario&) = delete;
   MeshScenario& operator=(const MeshScenario&) = delete;
 
-  const sim::Topology& topology() const { return topo_; }
   std::size_t pair_count() const { return pairs_.size(); }
-  const sim::NodePair& pair(std::size_t p) const { return pairs_.at(p); }
   /// The pair's route as topology edge indices.
   const std::vector<std::size_t>& pair_route(std::size_t p) const {
     return routes_.at(p);
@@ -89,10 +86,6 @@ class MeshScenario {
   sim::Path& edge_path(std::size_t e) { return *edge_paths_.at(e); }
   const sim::Path& edge_path(std::size_t e) const { return *edge_paths_.at(e); }
 
-  /// Configured long-run avail-bw of pair `p`: min over route edges of
-  /// capacity minus offered background rate — the design value.
-  double nominal_pair_avail_bw(std::size_t p) const;
-
   /// Measured background avail-bw of edge `e` over [t1, t2), excluding
   /// measurement traffic.
   double edge_cross_avail_bw(std::size_t e, sim::SimTime t1,
@@ -106,14 +99,6 @@ class MeshScenario {
   /// The full per-pair ground-truth matrix (flattened, pair order).
   std::vector<double> ground_truth_matrix(sim::SimTime t1,
                                           sim::SimTime t2) const;
-
-  /// Edge realizing pair `p`'s minimum over [t1, t2) (ties: earliest
-  /// route edge).
-  std::size_t pair_tight_edge(std::size_t p, sim::SimTime t1,
-                              sim::SimTime t2) const;
-
-  /// Wires `sink` into every edge link.  nullptr detaches.
-  void set_trace(obs::TraceSink* sink);
 
   /// Per-edge link counters ("edge.<e>.packets_in", ...) and the
   /// simulator's event count.
@@ -136,8 +121,7 @@ class MeshScenario {
 /// one-hop source MeshScenario builds for it, warmed up for cfg.warmup.
 /// Its links and ground truth bit-match the mesh's route edges, and it
 /// probes through transport() like any Scenario.  nominal_avail_bw() is
-/// the route's narrow capacity, as for every custom Scenario; the design
-/// value is MeshScenario::nominal_pair_avail_bw().
+/// the route's narrow capacity, as for every custom Scenario.
 Scenario pair_scenario(const MeshConfig& cfg, std::size_t pair);
 
 // --- direct measurement of one mesh pair (the MeshEstimator backend) ----

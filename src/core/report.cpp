@@ -57,10 +57,11 @@ void print_header(std::ostream& os, const std::string& experiment,
   os << "\n=== " << experiment << "  [" << paper_ref << "] ===\n";
 }
 
-void print_check(std::ostream& os, const std::string& claim,
+bool print_check(std::ostream& os, const std::string& claim,
                  const std::string& measured, bool match) {
   os << "  paper: " << claim << "\n  ours:  " << measured << "\n  => "
      << (match ? "MATCH" : "MISMATCH") << "\n";
+  return match;
 }
 
 std::string ascii_plot(const std::vector<double>& ys, std::size_t height,

@@ -36,8 +36,9 @@ void print_header(std::ostream& os, const std::string& experiment,
                   const std::string& paper_ref);
 
 /// Prints a paper-claim check: the qualitative statement, what we
-/// measured, and MATCH / MISMATCH.
-void print_check(std::ostream& os, const std::string& claim,
+/// measured, and MATCH / MISMATCH.  Returns `match`; the verdict binaries
+/// exit 1 on MISMATCH.
+bool print_check(std::ostream& os, const std::string& claim,
                  const std::string& measured, bool match);
 
 /// Renders a y-vs-x series as a crude ASCII plot (for OWD time series and

@@ -183,9 +183,6 @@ class Estimator {
                 std::string_view outcome, std::uint64_t iter, double value,
                 double aux = 0.0);
 
-  /// True when a trace sink is attached (skip building expensive
-  /// outcome strings otherwise).
-  bool tracing() const { return trace_ != nullptr; }
   /// Per-measurement limit bookkeeping.  Construct at the top of
   /// estimate() and call exceeded() before each stream; the baseline
   /// subtraction makes the budget per-measurement even though

@@ -143,8 +143,6 @@ class MeshEstimator {
   /// The pairs estimate() will probe directly, ascending.
   const std::vector<std::size_t>& probe_set() const { return probe_set_; }
 
-  const std::vector<MeshPathSpec>& paths() const { return paths_; }
-
   /// Fans the probe set's measurements across `runner` (bit-identical for
   /// any jobs count) and infers every unprobed pair.
   MeshReport estimate(runner::BatchRunner& runner,

@@ -62,9 +62,8 @@ class KalmanTracker final : public OnlineEstimator {
   /// Change points detected (covariance inflations) so far.
   std::uint64_t change_points() const { return change_points_; }
 
-  /// Current state, for introspection/tests: strain ~ alpha + beta * r
+  /// Current slope, for introspection/tests: strain ~ alpha + beta * r
   /// with r in Mb/s.
-  double alpha() const { return a_; }
   double beta() const { return b_; }
 
  protected:

@@ -5,15 +5,6 @@
 
 namespace abw::est::online {
 
-std::string_view feed_result_name(FeedResult r) {
-  switch (r) {
-    case FeedResult::kUpdated: return "updated";
-    case FeedResult::kRejected: return "rejected";
-    case FeedResult::kExhausted: return "exhausted";
-  }
-  return "unknown";
-}
-
 OnlineSample OnlineEstimator::to_sample(const probe::StreamResult& res) {
   OnlineSample s;
   s.rate_bps = res.output_rate_bps();

@@ -71,8 +71,6 @@ enum class FeedResult : std::uint8_t {
   kExhausted, ///< admission control tripped; belief frozen, see abort()
 };
 
-std::string_view feed_result_name(FeedResult r);
-
 /// Base class of all streaming estimators: admission control, belief
 /// storage, and observability live here; trackers implement do_update().
 class OnlineEstimator {
@@ -132,9 +130,6 @@ class OnlineEstimator {
   /// Emits one per-update decision trace event (no-op without a sink).
   void decision(sim::SimTime t, std::string_view what,
                 std::string_view outcome, double value, double aux = 0.0);
-
-  bool tracing() const { return trace_ != nullptr; }
-  obs::MetricsRegistry* metrics() const { return metrics_; }
 
   Belief belief_;
 

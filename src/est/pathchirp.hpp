@@ -53,9 +53,6 @@ class PathChirp final : public Estimator {
                        const std::vector<double>& rates_bps,
                        const std::vector<double>& gaps_seconds) const;
 
-  /// Per-chirp estimates from the last estimate() call.
-  const std::vector<double>& last_chirp_estimates() const { return chirp_estimates_; }
-
  protected:
   Estimate do_estimate(probe::Transport& transport) override;
 

@@ -1,5 +1,6 @@
 #include "runner/cli.hpp"
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -11,6 +12,10 @@ namespace abw::runner {
 namespace {
 
 std::size_t parse_positive(const std::string& s, const char* what) {
+  // std::stoull skips leading whitespace and accepts a sign, wrapping "-1"
+  // to 2^64 - 1; only plain digits are a job count.
+  if (s.empty() || s[0] < '0' || s[0] > '9')
+    throw std::invalid_argument(std::string(what) + ": want a positive integer, got: " + s);
   std::size_t pos = 0;
   unsigned long long v = 0;
   try {
@@ -73,6 +78,12 @@ std::size_t jobs_from_cli(int argc, char** argv) {
     std::fprintf(stderr, "%s: %s\n", argc > 0 ? argv[0] : "abw", e.what());
     std::exit(2);
   }
+}
+
+double monotonic_seconds() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
 }
 
 }  // namespace abw::runner

@@ -1,7 +1,7 @@
 // Shared CLI helpers for the parallel benches and examples: one home for
 // the `--jobs N` / `--jobs=N` / `-j N` flag and the ABW_JOBS environment
-// variable, so every binary parses them identically (PR 1 grew three
-// drifting copies of this logic).
+// variable, so every binary parses them identically, plus the wall clock
+// the micro-benchmarks and examples time themselves with.
 #pragma once
 
 #include <cstddef>
@@ -30,5 +30,8 @@ std::size_t jobs_from_cli(int argc, char** argv);
 /// observability flags (`--trace=FILE`, `--metrics=FILE`).
 std::string parse_string_flag(int argc, char** argv, const std::string& name,
                               const std::string& fallback);
+
+/// Monotonic wall clock in seconds (steady_clock).
+double monotonic_seconds();
 
 }  // namespace abw::runner

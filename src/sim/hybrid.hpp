@@ -36,8 +36,6 @@ enum class SimMode {
   kHybrid,  ///< cross traffic integrated as a fluid; probes join it exactly
 };
 
-const char* to_string(SimMode m);
-
 /// The cross-traffic source feeding one fluid link.  Implemented by
 /// traffic::HybridCrossSource; links and paths bring the fluid up to date
 /// through this interface without a sim->traffic layer dependency.

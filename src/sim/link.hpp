@@ -127,12 +127,6 @@ class Link final : public PacketHandler {
   void set_trace(obs::TraceSink* sink) { trace_ = sink; }
   obs::TraceSink* trace() const { return trace_; }
 
-  /// True while a transmission is in progress (the link is not idle).
-  bool transmitting() const { return transmitting_; }
-
-  /// This link's configuration (the fluid integrator shares it).
-  const LinkConfig& config() const { return cfg_; }
-
   // --- hybrid fluid fast path (see sim/fluid.hpp) ------------------------
   // In hybrid mode the link's FIFO is a FluidQueue: cross traffic is
   // integrated analytically, and handle() admits every discrete packet
@@ -146,9 +140,6 @@ class Link final : public PacketHandler {
   /// cannot be reproduced analytically — the hybrid validity envelope),
   /// or if already enabled (one fluid source per link).
   FluidQueue& enable_fluid(HybridAgent* feeder = nullptr);
-
-  /// The fluid integrator, or nullptr when hybrid is off.
-  FluidQueue* fluid() { return fluid_.get(); }
 
   // --- fault injection (see sim/fault.hpp) -------------------------------
   // Impairments are mutually exclusive with the hybrid fluid fast path,
@@ -177,9 +168,6 @@ class Link final : public PacketHandler {
   /// enable_fluid() is rejected while the change is still pending.
   /// Throws if the link already runs fluid.
   void expect_capacity_dynamics();
-
-  /// True once a capacity change was applied or scheduled.
-  bool capacity_dynamic() const { return capacity_dynamic_; }
 
  private:
   friend class FluidQueue;

@@ -18,7 +18,6 @@ class RingQueue {
  public:
   bool empty() const { return count_ == 0; }
   std::size_t size() const { return count_; }
-  std::size_t capacity() const { return buf_.size(); }
 
   void push_back(const T& v) {
     if (count_ == buf_.size()) grow();

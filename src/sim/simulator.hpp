@@ -52,9 +52,6 @@ class Simulator {
   /// Returns true when the predicate was satisfied.
   bool run_until_condition(SimTime t_max, const std::function<bool()>& done);
 
-  /// True when no events are pending.
-  bool idle() const { return scheduler_.empty(); }
-
   /// Issues a fresh globally unique packet id.
   std::uint64_t next_packet_id() { return next_packet_id_++; }
 
@@ -64,9 +61,6 @@ class Simulator {
   /// High-water mark of concurrently pending events — the working-set
   /// size of the event queue (reported in BENCH_core.json).
   std::size_t peak_event_count() const { return scheduler_.peak_size(); }
-
-  /// Pooled callback slots created so far; constant at steady state.
-  std::size_t event_pool_capacity() const { return scheduler_.pool_capacity(); }
 
   /// Pre-sizes the event queue for `n` concurrent events.
   void reserve_events(std::size_t n) { scheduler_.reserve(n); }

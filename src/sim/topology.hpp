@@ -58,14 +58,8 @@ class Topology {
   std::size_t add_edge(std::size_t from, std::size_t to,
                        const LinkConfig& link);
 
-  std::size_t node_count() const { return nodes_; }
   std::size_t edge_count() const { return edges_.size(); }
   const TopoEdge& edge(std::size_t i) const { return edges_.at(i); }
-
-  /// Outgoing edge indices of `node`, ascending (BFS expansion order).
-  const std::vector<std::size_t>& out_edges(std::size_t node) const {
-    return out_edges_.at(node);
-  }
 
   /// Installs the route for (src, dst) as an explicit edge sequence.
   /// Validates the chain: edges[0].from == src, consecutive edges share
@@ -87,13 +81,6 @@ class Topology {
   /// The installed route for (src, dst), or nullptr.
   const std::vector<std::size_t>* route(std::size_t src,
                                         std::size_t dst) const;
-
-  /// All installed routes, ordered by (src, dst) — deterministic.
-  const std::map<std::pair<std::size_t, std::size_t>,
-                 std::vector<std::size_t>>&
-  routes() const {
-    return routes_;
-  }
 
   /// Minimum link capacity along (src, dst)'s installed route — the
   /// route's narrow capacity.  Throws when no route is installed.

@@ -33,11 +33,6 @@ double Histogram::bin_center(std::size_t i) const {
   return lo_ + (static_cast<double>(i) + 0.5) * w;
 }
 
-double Histogram::bin_fraction(std::size_t i) const {
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(counts_.at(i)) / static_cast<double>(total_);
-}
-
 std::string Histogram::render(std::size_t width) const {
   std::size_t peak = 1;
   for (std::size_t c : counts_) peak = std::max(peak, c);

@@ -27,9 +27,6 @@ class Histogram {
   /// Center x-value of bin i.
   double bin_center(std::size_t i) const;
 
-  /// Fraction of all observations landing in bin i.
-  double bin_fraction(std::size_t i) const;
-
   /// ASCII rendering for bench output: one line per bin with a bar.
   std::string render(std::size_t width = 50) const;
 

@@ -65,7 +65,6 @@ void TcpConnection::send_segment(std::uint32_t seq) {
   pkt.seq = seq;
   pkt.exit_hop = one_hop_ ? static_cast<std::uint32_t>(hop_) : sim::kEndToEnd;
   pkt.send_time = sim_.now();
-  ++segments_sent_;
   // tcp_rate.c snapshot: when nothing is in flight a new sample window
   // opens at this send (both rate denominators restart here).
   if (next_seq_ == highest_acked_) {

@@ -102,10 +102,7 @@ class TcpConnection {
   double throughput_bps(sim::SimTime now) const;
 
   bool completed() const { return completed_; }
-  double cwnd() const { return cwnd_; }
   std::uint64_t retransmits() const { return retransmits_; }
-  std::uint64_t segments_sent() const { return segments_sent_; }
-  std::uint32_t flow_id() const { return flow_id_; }
 
   /// Receiver-side entry: the hub delivers arriving data segments here.
   void on_data_at_receiver(const sim::Packet& pkt);
@@ -165,7 +162,6 @@ class TcpConnection {
   bool started_ = false;
   bool completed_ = false;
   std::uint64_t retransmits_ = 0;
-  std::uint64_t segments_sent_ = 0;
   std::uint32_t total_segments_ = 0;  ///< 0 = unbounded
   std::function<void()> on_complete_;
 };

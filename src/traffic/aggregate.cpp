@@ -26,12 +26,6 @@ void AggregateOnOff::start(sim::SimTime t0, sim::SimTime t1) {
   for (auto& s : sources_) s->start(t0, t1);
 }
 
-std::uint64_t AggregateOnOff::packets_sent() const {
-  std::uint64_t n = 0;
-  for (const auto& s : sources_) n += s->packets_sent();
-  return n;
-}
-
 std::uint64_t AggregateOnOff::bytes_sent() const {
   std::uint64_t n = 0;
   for (const auto& s : sources_) n += s->bytes_sent();

@@ -27,7 +27,6 @@ class AggregateOnOff {
   /// Starts all sources over [t0, t1).
   void start(sim::SimTime t0, sim::SimTime t1);
 
-  std::uint64_t packets_sent() const;
   std::uint64_t bytes_sent() const;
   std::size_t source_count() const { return sources_.size(); }
 

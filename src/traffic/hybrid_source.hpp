@@ -41,8 +41,6 @@ class HybridCrossSource final : public sim::HybridAgent {
   // sim::HybridAgent
   void sync(sim::SimTime t) override;
 
-  const Generator& generator() const { return *gen_; }
-
  private:
   /// Arrivals pulled per fill() call; bounds chunk memory (48 KB, still
   /// cache-resident) while keeping the per-refill overhead and the

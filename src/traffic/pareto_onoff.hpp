@@ -29,9 +29,6 @@ class ParetoOnOffGenerator final : public Generator {
                        bool one_hop, std::uint32_t flow_id, stats::Rng rng,
                        const ParetoOnOffConfig& cfg);
 
-  /// Scale parameter (minimum OFF duration, seconds) derived from cfg.
-  double off_scale_seconds() const { return off_scale_seconds_; }
-
  protected:
   sim::SimTime next_gap(stats::Rng& rng, sim::SimTime now) override;
   std::uint32_t next_size(stats::Rng& rng) override;

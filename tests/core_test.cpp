@@ -158,11 +158,12 @@ TEST(Report, TableAlignsAndValidates) {
 }
 
 TEST(Report, CheckLineFormats) {
+  // The return value is the verdict binaries' exit status (0 on MATCH).
   std::ostringstream os;
-  core::print_check(os, "claim", "measured", true);
+  EXPECT_TRUE(core::print_check(os, "claim", "measured", true));
   EXPECT_NE(os.str().find("MATCH"), std::string::npos);
   std::ostringstream os2;
-  core::print_check(os2, "claim", "measured", false);
+  EXPECT_FALSE(core::print_check(os2, "claim", "measured", false));
   EXPECT_NE(os2.str().find("MISMATCH"), std::string::npos);
 }
 

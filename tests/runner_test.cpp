@@ -17,7 +17,6 @@
 #include "core/experiment.hpp"
 #include "core/scenario.hpp"
 #include "runner/batch.hpp"
-#include "runner/bench_report.hpp"
 #include "runner/cli.hpp"
 #include "runner/thread_pool.hpp"
 
@@ -126,6 +125,11 @@ TEST(BatchRunnerTest, MalformedAbwJobsThrows) {
   EXPECT_THROW(runner::default_jobs(), std::invalid_argument);
   ::setenv("ABW_JOBS", "0", 1);
   EXPECT_THROW(runner::default_jobs(), std::invalid_argument);
+  // A sign would wrap through unsigned parsing to ~2^64 worker threads.
+  ::setenv("ABW_JOBS", "-2", 1);
+  EXPECT_THROW(runner::default_jobs(), std::invalid_argument);
+  ::setenv("ABW_JOBS", " 4", 1);
+  EXPECT_THROW(runner::default_jobs(), std::invalid_argument);
   ::unsetenv("ABW_JOBS");
 }
 
@@ -142,6 +146,12 @@ TEST(BatchRunnerTest, ParseJobsFlag) {
   const char* argv5[] = {"bench", "-j", "nope"};
   EXPECT_THROW(runner::parse_jobs_flag(3, const_cast<char**>(argv5), 2),
                std::invalid_argument);
+  const char* argv6[] = {"bench", "--jobs=-1"};
+  EXPECT_THROW(runner::parse_jobs_flag(2, const_cast<char**>(argv6), 2),
+               std::invalid_argument);
+  const char* argv7[] = {"bench", "--jobs", " 4"};
+  EXPECT_THROW(runner::parse_jobs_flag(3, const_cast<char**>(argv7), 2),
+               std::invalid_argument);
 }
 
 TEST(BatchRunnerTest, TaskExceptionPropagatesLowestIndexFirst) {
@@ -157,15 +167,6 @@ TEST(BatchRunnerTest, TaskExceptionPropagatesLowestIndexFirst) {
     // The serial run would have hit task 3 first; parallel must agree.
     EXPECT_STREQ(e.what(), "task 3 failed");
   }
-}
-
-TEST(BenchReport, PrintBatchTimingFormatsEveryField) {
-  const runner::BatchTiming t{"fig1", 40, 4, 2.0, 0.5};
-  testing::internal::CaptureStdout();
-  runner::print_batch_timing(t);
-  EXPECT_EQ(testing::internal::GetCapturedStdout(),
-            "[batch] fig1: 40 tasks, serial 2.00 s, parallel(4) 0.50 s, "
-            "speedup 4.00x  -> BENCH_batch.json\n");
 }
 
 // ---------------------------------------------- cross-thread determinism ---
