@@ -243,6 +243,30 @@ void BM_PoissonTrafficSecond(benchmark::State& state) {
 }
 BENCHMARK(BM_PoissonTrafficSecond);
 
+// The cross-traffic draw path alone, without the packet events that
+// BM_PoissonTrafficSecond adds: fill() of a trimodal Poisson source into
+// a reused 4,096-arrival chunk.  Items are arrivals.
+void BM_CrossArrivalDraw(benchmark::State& state) {
+  constexpr std::size_t kChunk = 4096;
+  sim::Simulator simu;
+  sim::Path path(simu, {sim::LinkConfig{}});
+  traffic::PoissonGenerator gen(simu, path, 0, false, 1, stats::Rng(1), 25e6,
+                                traffic::SizeDistribution::internet_mix());
+  gen.begin_stream(0, 1000000 * sim::kSecond);  // ~4e9 arrivals
+  traffic::ArrivalChunk chunk;
+  chunk.reserve(kChunk);
+  std::int64_t arrivals = 0;
+  for (auto _ : state) {
+    chunk.clear();
+    arrivals += static_cast<std::int64_t>(gen.fill(chunk, kChunk));
+    benchmark::DoNotOptimize(chunk.times.data());
+    benchmark::DoNotOptimize(chunk.sizes.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(arrivals);
+}
+BENCHMARK(BM_CrossArrivalDraw);
+
 void BM_ProbeStreamRoundTrip(benchmark::State& state) {
   core::SingleHopConfig cfg;
   auto sc = core::Scenario::single_hop(cfg);

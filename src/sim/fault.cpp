@@ -8,7 +8,7 @@
 namespace abw::sim {
 
 void FaultInjector::set_capacity_at(Link& link, SimTime t, double bps) {
-  if (bps <= 0.0)
+  if (!(bps > 0.0))
     throw std::invalid_argument("FaultInjector: capacity must be > 0");
   if (t < sim_.now())
     throw std::invalid_argument("FaultInjector: trigger time in the past");

@@ -15,7 +15,7 @@ Link::Link(Simulator& sim, std::string name, const LinkConfig& cfg)
       cfg_(cfg),
       meter_(cfg.capacity_bps),
       loss_rng_(cfg.loss_seed) {
-  if (cfg.capacity_bps <= 0.0)
+  if (!(cfg.capacity_bps > 0.0))
     throw std::invalid_argument("Link: capacity must be > 0");
   if (cfg.propagation_delay < 0)
     throw std::invalid_argument("Link: negative propagation delay");
@@ -270,7 +270,7 @@ void Link::expect_capacity_dynamics() {
 }
 
 void Link::set_capacity(double bps) {
-  if (bps <= 0.0)
+  if (!(bps > 0.0))
     throw std::invalid_argument("Link '" + name_ + "': capacity must be > 0");
   expect_capacity_dynamics();  // rejects fluid links, marks dynamic
   const SimTime now = sim_.now();

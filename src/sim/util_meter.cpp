@@ -5,7 +5,7 @@
 namespace abw::sim {
 
 UtilizationMeter::UtilizationMeter(double capacity_bps) : capacity_bps_(capacity_bps) {
-  if (capacity_bps <= 0.0)
+  if (!(capacity_bps > 0.0))
     throw std::invalid_argument("UtilizationMeter: capacity must be > 0");
 }
 
@@ -111,7 +111,7 @@ double UtilizationMeter::utilization(SimTime t1, SimTime t2) const {
 }
 
 void UtilizationMeter::set_capacity(SimTime t, double bps) {
-  if (bps <= 0.0)
+  if (!(bps > 0.0))
     throw std::invalid_argument("UtilizationMeter: capacity must be > 0");
   if (!caps_.empty() && t < caps_.back().first)
     throw std::logic_error("UtilizationMeter: capacity steps out of order");

@@ -1,29 +1,42 @@
 #include "stats/rng.hpp"
 
-#include <cmath>
+#include <random>
 #include <stdexcept>
 
 namespace abw::stats {
 
-namespace {
-// Bit-exact inline of libstdc++'s generate_canonical<double, 53> over
-// mt19937_64 (what uniform_real_distribution(0,1) and
-// exponential_distribution reduce to): the full 64-bit draw is converted
-// to double (round-to-nearest) and scaled by 2^-64; draws within 2^10 of
-// the top round up to exactly 1.0 and are clamped to nextafter(1, 0).
-// Equality with the std path is enforced by stats_test (RngFastPathExact),
-// so golden digests and every seeded experiment are unchanged — this is
-// purely a speedup (~2.3x per draw: no distribution object, no long-double
-// loop).  Hot callers: Poisson gap draws and packet-size sampling, which
-// dominate traffic generation in both packet and hybrid simulation modes.
-inline double canonical53(std::uint64_t raw) {
-  double u = static_cast<double>(raw) * 0x1.0p-64;
-  return u < 1.0 ? u : 0x1.fffffffffffffp-1;
+Mt19937_64::Mt19937_64(result_type seed) {
+  state_[0] = seed;
+  for (std::size_t i = 1; i < kN; ++i) {
+    const std::uint64_t prev = state_[i - 1];
+    state_[i] = 6364136223846793005ULL * (prev ^ (prev >> 62)) + i;
+  }
 }
-}  // namespace
 
-double Rng::uniform01() {
-  return canonical53(engine_());
+// The standard twist, word for word: the upper bit of one word and the
+// lower 63 bits of the next, shifted right, xor the matrix constant when
+// the shifted-out bit is set.  The select is a mask, -(y & 1) & a, not a
+// branch, so no loop here branches on the data; GCC also vectorizes the
+// first loop, whose far word lies ahead of k and is not yet twisted.
+void Mt19937_64::refill() {
+  constexpr std::uint64_t kUpper = ~std::uint64_t{0} << 31;
+  constexpr std::uint64_t kLower = ~kUpper;
+  constexpr std::uint64_t kMatrix = 0xb5026f5aa96619e9ULL;
+  auto twist = [](std::uint64_t cur, std::uint64_t next, std::uint64_t far) {
+    const std::uint64_t y = (cur & kUpper) | (next & kLower);
+    return far ^ (y >> 1) ^ ((std::uint64_t{0} - (y & 1)) & kMatrix);
+  };
+  std::size_t k = 0;
+  for (; k < kN - kM; ++k)
+    state_[k] = twist(state_[k], state_[k + 1], state_[k + kM]);
+  for (; k < kN - 1; ++k)
+    state_[k] = twist(state_[k], state_[k + 1], state_[k + kM - kN]);
+  state_[kN - 1] = twist(state_[kN - 1], state_[0], state_[kM - 1]);
+  index_ = 0;
+}
+
+void Rng::reject_exponential_mean() {
+  throw std::invalid_argument("Rng::exponential: mean must be > 0");
 }
 
 double Rng::uniform(double lo, double hi) {
@@ -34,16 +47,8 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
 }
 
-double Rng::exponential(double mean) {
-  if (mean <= 0.0) throw std::invalid_argument("Rng::exponential: mean must be > 0");
-  // Same expression std::exponential_distribution(1/mean) evaluates,
-  // including the division by lambda rather than a multiply by mean (the
-  // two round differently); exactness is covered by RngFastPathExact.
-  return -std::log(1.0 - canonical53(engine_())) / (1.0 / mean);
-}
-
 double Rng::pareto(double alpha, double xm) {
-  if (alpha <= 0.0 || xm <= 0.0)
+  if (!(alpha > 0.0) || !(xm > 0.0))
     throw std::invalid_argument("Rng::pareto: alpha and xm must be > 0");
   // Inverse-CDF method: X = xm / U^(1/alpha), U ~ Uniform(0,1].
   double u = 1.0 - uniform01();  // in (0, 1]

@@ -13,8 +13,9 @@
 namespace abw::traffic {
 
 /// A batch of packet arrivals in struct-of-arrays form: `times[i]` is the
-/// arrival instant of a packet of `sizes[i]` bytes.  Times are strictly
-/// ascending within a chunk (gaps are >= 1 ns).
+/// arrival instant of a packet of `sizes[i]` bytes.  Times are
+/// non-decreasing within a chunk: a drawn gap under 0.5 ns rounds to 0,
+/// and a replayed trace may repeat a timestamp.
 struct ArrivalChunk {
   std::vector<sim::SimTime> times;
   std::vector<std::uint32_t> sizes;

@@ -10,7 +10,7 @@ CbrGenerator::CbrGenerator(sim::Simulator& sim, sim::Path& path,
                            std::uint32_t packet_size)
     : Generator(sim, path, entry_hop, one_hop, flow_id, std::move(rng)),
       packet_size_(packet_size) {
-  if (rate_bps <= 0.0 || packet_size == 0)
+  if (!(rate_bps > 0.0) || packet_size == 0)
     throw std::invalid_argument("CbrGenerator: rate and size must be > 0");
   gap_ = sim::transmission_time(packet_size, rate_bps);
 }

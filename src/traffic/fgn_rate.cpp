@@ -18,9 +18,9 @@ FgnRateGenerator::FgnRateGenerator(sim::Simulator& sim, sim::Path& path,
                                    std::uint32_t flow_id, stats::Rng rng,
                                    const FgnRateConfig& cfg)
     : Generator(sim, path, entry_hop, one_hop, flow_id, std::move(rng)), cfg_(cfg) {
-  if (cfg.mean_rate_bps <= 0.0 || cfg.rel_std < 0.0 || cfg.window <= 0)
+  if (!(cfg.mean_rate_bps > 0.0) || !(cfg.rel_std >= 0.0) || cfg.window <= 0)
     throw std::invalid_argument("FgnRateGenerator: bad config");
-  if (cfg.hurst <= 0.0 || cfg.hurst >= 1.0)
+  if (!(cfg.hurst > 0.0 && cfg.hurst < 1.0))
     throw std::invalid_argument("FgnRateGenerator: hurst must be in (0,1)");
 }
 

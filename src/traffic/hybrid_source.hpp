@@ -42,10 +42,14 @@ class HybridCrossSource final : public sim::HybridAgent {
   void sync(sim::SimTime t) override;
 
  private:
-  /// Arrivals pulled per fill() call; bounds chunk memory (48 KB, still
-  /// cache-resident) while keeping the per-refill overhead and the
-  /// absorb() run splits at chunk boundaries negligible.
-  static constexpr std::size_t kChunk = 4096;
+  /// Arrivals pulled per fill() call.  A sync leaves at most one pull
+  /// drawn but not absorbed, and a scenario that ends mid-pull discards
+  /// that remainder.  Short pair scenarios absorb only thousands of
+  /// arrivals per source, so a large pull wastes draws: at 4,096 the
+  /// mesh workload discarded a quarter of all it drew.  Smaller pulls
+  /// cost more refill calls and absorb() splits; CPU per resolved mesh
+  /// pair read 602 us at 4,096, 564 at 256, 540 at 64 and 561 at 16.
+  static constexpr std::size_t kChunk = 64;
 
   void pump(sim::SimTime t);   // absorb arrivals <= t, advance the fluid
   bool refill();               // pull the next chunk; false when stream done

@@ -1,6 +1,5 @@
 #include "traffic/packet_size.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace abw::traffic {
@@ -34,14 +33,6 @@ SizeDistribution SizeDistribution::modal(
 
 SizeDistribution SizeDistribution::internet_mix() {
   return modal({{40, 0.4}, {576, 0.2}, {1500, 0.4}});
-}
-
-std::uint32_t SizeDistribution::sample(stats::Rng& rng) const {
-  double u = rng.uniform01();
-  auto it = std::lower_bound(cum_.begin(), cum_.end(), u);
-  auto idx = static_cast<std::size_t>(it - cum_.begin());
-  if (idx >= sizes_.size()) idx = sizes_.size() - 1;
-  return sizes_[idx];
 }
 
 }  // namespace abw::traffic

@@ -7,7 +7,9 @@
 // 40/576/1500 Internet mix), and uniform.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "stats/rng.hpp"
@@ -26,8 +28,17 @@ class SizeDistribution {
   /// The classic Internet trimodal mix: 40 B (40%), 576 B (20%), 1500 B (40%).
   static SizeDistribution internet_mix();
 
-  /// Draws a size.
-  std::uint32_t sample(stats::Rng& rng) const;
+  /// Draws a size: one uniform u, then the first mode whose cumulative
+  /// probability reaches u (what std::lower_bound over the cumulative
+  /// weights finds).  That mode's index is the count of cumulative
+  /// weights below u among all but the last, so the draw compiles to
+  /// compares and adds with no branch on u.
+  std::uint32_t sample(stats::Rng& rng) const {
+    const double u = rng.uniform01();
+    std::size_t idx = 0;
+    for (std::size_t i = 0; i + 1 < cum_.size(); ++i) idx += cum_[i] < u;
+    return sizes_[idx];
+  }
 
   /// Mean size in bytes.
   double mean() const { return mean_; }

@@ -12,9 +12,9 @@ ParetoGapGenerator::ParetoGapGenerator(sim::Simulator& sim, sim::Path& path,
     : Generator(sim, path, entry_hop, one_hop, flow_id, std::move(rng)),
       shape_(shape),
       packet_size_(packet_size) {
-  if (rate_bps <= 0.0 || packet_size == 0)
+  if (!(rate_bps > 0.0) || packet_size == 0)
     throw std::invalid_argument("ParetoGapGenerator: rate and size must be > 0");
-  if (shape <= 1.0)
+  if (!(shape > 1.0))
     throw std::invalid_argument("ParetoGapGenerator: shape must be > 1");
   double mean_gap = packet_size * 8.0 / rate_bps;
   // Pareto mean = shape * xm / (shape - 1)  =>  xm = mean * (shape-1)/shape.

@@ -9,9 +9,9 @@ ParetoOnOffGenerator::ParetoOnOffGenerator(sim::Simulator& sim, sim::Path& path,
                                            std::uint32_t flow_id, stats::Rng rng,
                                            const ParetoOnOffConfig& cfg)
     : Generator(sim, path, entry_hop, one_hop, flow_id, std::move(rng)), cfg_(cfg) {
-  if (cfg.mean_rate_bps <= 0.0 || cfg.peak_rate_bps <= cfg.mean_rate_bps)
+  if (!(cfg.mean_rate_bps > 0.0) || !(cfg.peak_rate_bps > cfg.mean_rate_bps))
     throw std::invalid_argument("ParetoOnOff: need 0 < mean < peak rate");
-  if (cfg.off_shape <= 1.0)
+  if (!(cfg.off_shape > 1.0))
     throw std::invalid_argument("ParetoOnOff: off_shape must be > 1 (finite mean)");
   if (cfg.on_min_packets == 0 || cfg.on_max_packets < cfg.on_min_packets)
     throw std::invalid_argument("ParetoOnOff: bad ON burst bounds");

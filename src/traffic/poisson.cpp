@@ -10,7 +10,8 @@ PoissonGenerator::PoissonGenerator(sim::Simulator& sim, sim::Path& path,
                                    double rate_bps, SizeDistribution sizes)
     : Generator(sim, path, entry_hop, one_hop, flow_id, std::move(rng)),
       sizes_(std::move(sizes)) {
-  if (rate_bps <= 0.0) throw std::invalid_argument("PoissonGenerator: rate <= 0");
+  if (!(rate_bps > 0.0))
+    throw std::invalid_argument("PoissonGenerator: rate must be > 0");
   mean_gap_seconds_ = sizes_.mean() * 8.0 / rate_bps;
 }
 

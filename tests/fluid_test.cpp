@@ -478,6 +478,40 @@ TEST(HybridScenario, ProbeCostsTwoEventsAtAnyLoad) {
   }
 }
 
+// A hybrid source draws arrivals as syncs consume them: after any sync it
+// holds at most one pull (64 arrivals) drawn but not yet absorbed.  All
+// 64 stay pending when the sync time falls between the last arrival of
+// one pull and the first of the next.  The link's packets_in counts the
+// absorbed cross arrivals plus the probes.
+TEST(HybridScenario, SourceDrawsAtMostOnePullAhead) {
+  sim::LinkConfig lc;
+  lc.capacity_bps = 50e6;
+  lc.propagation_delay = kMillisecond;
+  lc.queue_limit_bytes = 2 << 20;
+  core::Scenario sc = core::Scenario::custom({lc}, 5);
+  auto gen = std::make_unique<traffic::PoissonGenerator>(
+      sc.simulator(), sc.path(), 0, false, 1, stats::Rng(5), 25e6,
+      traffic::SizeDistribution::internet_mix());
+  const traffic::PoissonGenerator* raw = gen.get();
+  sc.add_cross_source(std::move(gen), 0, false, 1, sim::SimMode::kHybrid,
+                      60 * kSecond);
+  const sim::LinkStats& st = sc.path().link(0).stats();
+  constexpr std::uint64_t kOnePull = 64;
+
+  sc.simulator().run_until(500 * kMillisecond);
+  sc.ground_truth(0, 500 * kMillisecond);  // syncs the source to now
+  ASSERT_GT(st.packets_in, 1000u);
+  EXPECT_LE(raw->packets_sent() - st.packets_in, kOnePull);
+
+  probe::StreamResult r = sc.session().send_stream_now(
+      probe::StreamSpec::periodic(30e6, 1500, 50));
+  ASSERT_EQ(r.lost_count(), 0u);
+  sc.ground_truth(0, sc.simulator().now());
+  const std::uint64_t cross_in = st.packets_in - r.packets.size();
+  EXPECT_GT(cross_in, 2000u);
+  EXPECT_LE(raw->packets_sent() - cross_in, kOnePull);
+}
+
 // The hybrid drain rule: with no cross events pending, a stream still
 // missing probes must wait its full drain timeout, not return at its last
 // probe.  Up to and including the first lossy stream, a tiny-queue hybrid

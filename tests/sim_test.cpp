@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "sim/event_line.hpp"
+#include "sim/fault.hpp"
 #include "sim/link.hpp"
 #include "sim/node.hpp"
 #include "sim/path.hpp"
@@ -793,6 +795,18 @@ TEST(Link, RejectsBadConfig) {
   LinkConfig bad;
   bad.capacity_bps = 0.0;
   EXPECT_THROW(Link(sim, "x", bad), std::invalid_argument);
+  // NaN compares false against 0, so only a check written as !(c > 0)
+  // rejects it (abwprobe --capacity=nan reaches this constructor).
+  bad.capacity_bps = std::nan("");
+  EXPECT_THROW(Link(sim, "x", bad), std::invalid_argument);
+  EXPECT_THROW(UtilizationMeter(std::nan("")), std::invalid_argument);
+  UtilizationMeter meter(1e6);
+  EXPECT_THROW(meter.set_capacity(0, std::nan("")), std::invalid_argument);
+  Link ok(sim, "y", LinkConfig{});
+  EXPECT_THROW(ok.set_capacity(std::nan("")), std::invalid_argument);
+  FaultInjector faults(sim);
+  EXPECT_THROW(faults.set_capacity_at(ok, 10, std::nan("")),
+               std::invalid_argument);
 }
 
 // --------------------------------------------------------------- path ---

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
+#include <random>
 
 #include "stats/cdf.hpp"
 #include "stats/effective_bw.hpp"
@@ -34,13 +37,34 @@ TEST(Rng, ForkDivergesFromParent) {
   EXPECT_TRUE(any_diff);
 }
 
+// Rng's engine must yield std::mt19937_64's exact words: every golden
+// digest and seeded experiment depends on the draw sequence.  1,000 words
+// span four refills of the 312-word block; the copy taken mid-block (word
+// 500) must continue the same sequence from its position.
+TEST(Rng, EngineMatchesStdMt19937_64) {
+  const std::uint64_t seeds[] = {0, 1, 5489, 987654321,
+                                 std::numeric_limits<std::uint64_t>::max()};
+  for (std::uint64_t seed : seeds) {
+    std::mt19937_64 ref(seed);
+    Mt19937_64 eng(seed);
+    for (int i = 0; i < 500; ++i) ASSERT_EQ(ref(), eng()) << seed << " word " << i;
+    std::mt19937_64 ref_copy = ref;
+    Mt19937_64 eng_copy = eng;
+    for (int i = 500; i < 1000; ++i) ASSERT_EQ(ref(), eng()) << seed << " word " << i;
+    for (int i = 500; i < 1000; ++i)
+      ASSERT_EQ(ref_copy(), eng_copy()) << seed << " copied word " << i;
+  }
+}
+
 // The hand-inlined uniform01/exponential fast paths must be bit-identical
-// to the std::distribution formulations they replaced — every golden
-// digest and seeded experiment depends on the exact draw sequence.
+// to the std::distribution formulations they replaced.
 TEST(Rng, RngFastPathExact) {
   // A stub engine with mt19937_64's range lets us drive the std reference
-  // through chosen raw draws, including the one-in-2^54 rounding edge
-  // where the 64-bit value converts up to exactly 2^64.
+  // through chosen raw draws: the one-in-2^54 rounding edge where the
+  // 64-bit value converts up to exactly 2^64, words with the top bit set,
+  // and round-to-even ties (2^63 + 1024 sits halfway between 2^63 and
+  // the next double, 2^63 + 2048; 2^53 + 1 halfway between 2^53 and
+  // 2^53 + 2).
   struct StubEngine {
     using result_type = std::uint64_t;
     static constexpr result_type min() { return 0; }
@@ -51,14 +75,28 @@ TEST(Rng, RngFastPathExact) {
   const std::uint64_t edges[] = {
       0,         1,          1023,       1024,
       (1ULL << 53) - 1,      (1ULL << 53),
+      (1ULL << 53) + 1,      (1ULL << 53) + 3,
       ~0ULL,     ~0ULL - 1,  ~0ULL - 511, ~0ULL - 512,
-      ~0ULL - 1023,          0xfffffffffffffbffULL, 0xfffffffffffffc00ULL};
+      ~0ULL - 1023,          0xfffffffffffffbffULL, 0xfffffffffffffc00ULL,
+      1ULL << 63,            (1ULL << 63) + 1024,   (1ULL << 63) + 3072,
+      0x8000000000000400ULL, 0x80000000000003ffULL, 0x8000000000000401ULL,
+      0x8000000000000c00ULL, 0x7fffffffffffffffULL, 0xffffffff00000000ULL,
+      0x00000000ffffffffULL, 0x0000000100000000ULL};
   for (std::uint64_t x : edges) {
     StubEngine e{x};
-    double want = std::generate_canonical<double, 53>(e);
+    EXPECT_EQ((std::generate_canonical<double, 53>(e)), canonical53(x))
+        << "raw draw " << x;
+  }
+  // The split conversion equals the direct one on a stream of words, half
+  // of them forced onto round-to-even ties (low 11 bits 0x400 with the
+  // top bit set, so the ulp is 2048).
+  std::mt19937_64 words(2024);
+  for (int i = 0; i < 200000; ++i) {
+    std::uint64_t x = words();
+    if (i % 2) x = ((x | (1ULL << 63)) & ~0x7ffULL) | 0x400;
     double u = static_cast<double>(x) * 0x1.0p-64;
     if (u >= 1.0) u = 0x1.fffffffffffffp-1;
-    EXPECT_EQ(want, u) << "raw draw " << x;
+    ASSERT_EQ(u, canonical53(x)) << "raw draw " << x;
   }
   // And over the real engine: same seed, interleaved draw kinds, exact
   // equality of both the values and the post-draw engine state.
@@ -82,6 +120,37 @@ TEST(Rng, RngFastPathExact) {
   EXPECT_EQ(ref(), fast.engine()());  // engines advanced in lockstep
 }
 
+// The draws Rng delegates to std distributions, and pareto's inverse
+// CDF, equal the same draws on a std::mt19937_64 run in lockstep.
+TEST(Rng, DistributionsMatchStdEngineInLockstep) {
+  std::mt19937_64 ref(5489);
+  Rng rng(5489);
+  for (int i = 0; i < 20000; ++i) {
+    switch (i % 5) {
+      case 0:
+        ASSERT_EQ(std::uniform_real_distribution<double>(-3.0, 7.5)(ref),
+                  rng.uniform(-3.0, 7.5)) << i;
+        break;
+      case 1:
+        ASSERT_EQ(std::uniform_int_distribution<std::int64_t>(-40, 1500)(ref),
+                  rng.uniform_int(-40, 1500)) << i;
+        break;
+      case 2:
+        ASSERT_EQ(std::normal_distribution<double>(0.0, 1.0)(ref), rng.normal())
+            << i;
+        break;
+      case 3:
+        ASSERT_EQ(std::bernoulli_distribution(0.3)(ref), rng.bernoulli(0.3)) << i;
+        break;
+      default: {
+        double u = 1.0 - std::uniform_real_distribution<double>(0.0, 1.0)(ref);
+        ASSERT_EQ(2.0 / std::pow(u, 1.0 / 1.5), rng.pareto(1.5, 2.0)) << i;
+      }
+    }
+  }
+  EXPECT_EQ(ref(), rng.engine()());
+}
+
 TEST(Rng, Uniform01InRange) {
   Rng r(1);
   for (int i = 0; i < 1000; ++i) {
@@ -102,6 +171,7 @@ TEST(Rng, ExponentialRejectsBadMean) {
   Rng r(1);
   EXPECT_THROW(r.exponential(0.0), std::invalid_argument);
   EXPECT_THROW(r.exponential(-1.0), std::invalid_argument);
+  EXPECT_THROW(r.exponential(std::nan("")), std::invalid_argument);
 }
 
 TEST(Rng, ParetoRespectsScaleMinimum) {
@@ -121,6 +191,8 @@ TEST(Rng, ParetoRejectsBadParams) {
   Rng r(1);
   EXPECT_THROW(r.pareto(0.0, 1.0), std::invalid_argument);
   EXPECT_THROW(r.pareto(1.5, 0.0), std::invalid_argument);
+  EXPECT_THROW(r.pareto(std::nan(""), 1.0), std::invalid_argument);
+  EXPECT_THROW(r.pareto(1.5, std::nan("")), std::invalid_argument);
 }
 
 TEST(Rng, NormalMoments) {

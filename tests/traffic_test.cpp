@@ -3,6 +3,8 @@
 // burstiness and the aggregate's self-similarity emerge as designed.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "sim/path.hpp"
 #include "sim/simulator.hpp"
 #include "stats/hurst.hpp"
@@ -11,6 +13,7 @@
 #include "traffic/cbr.hpp"
 #include "traffic/fgn_rate.hpp"
 #include "traffic/packet_size.hpp"
+#include "traffic/pareto_gaps.hpp"
 #include "traffic/pareto_onoff.hpp"
 #include "traffic/poisson.hpp"
 #include "traffic/trace_replay.hpp"
@@ -220,6 +223,51 @@ TEST(ParetoOnOff, RejectsBadConfig) {
   EXPECT_THROW(traffic::ParetoOnOffGenerator(f.simu, f.path, 0, false, 1,
                                              stats::Rng(1), bad),
                std::invalid_argument);
+}
+
+// A NaN rate compares false against every bound, so a check written as
+// `rate <= 0` lets it through; each constructor must reject it.
+TEST(Generators, RejectNanRates) {
+  Fixture f;
+  const double nan = std::nan("");
+  EXPECT_THROW(traffic::PoissonGenerator(f.simu, f.path, 0, false, 1,
+                                         stats::Rng(1), nan,
+                                         traffic::SizeDistribution::fixed(1500)),
+               std::invalid_argument);
+  EXPECT_THROW(traffic::CbrGenerator(f.simu, f.path, 0, false, 1, stats::Rng(1),
+                                     nan, 1500),
+               std::invalid_argument);
+  EXPECT_THROW(traffic::ParetoGapGenerator(f.simu, f.path, 0, false, 1,
+                                           stats::Rng(1), nan, 1500),
+               std::invalid_argument);
+  EXPECT_THROW(traffic::ParetoGapGenerator(f.simu, f.path, 0, false, 1,
+                                           stats::Rng(1), 10e6, 1500, nan),
+               std::invalid_argument);
+  traffic::ParetoOnOffConfig oc;
+  oc.mean_rate_bps = nan;
+  EXPECT_THROW(traffic::ParetoOnOffGenerator(f.simu, f.path, 0, false, 1,
+                                             stats::Rng(1), oc),
+               std::invalid_argument);
+  oc.mean_rate_bps = 10e6;
+  oc.off_shape = nan;
+  EXPECT_THROW(traffic::ParetoOnOffGenerator(f.simu, f.path, 0, false, 1,
+                                             stats::Rng(1), oc),
+               std::invalid_argument);
+  traffic::FgnRateConfig fc;
+  fc.mean_rate_bps = nan;
+  EXPECT_THROW(
+      traffic::FgnRateGenerator(f.simu, f.path, 0, false, 1, stats::Rng(1), fc),
+      std::invalid_argument);
+  fc.mean_rate_bps = 10e6;
+  fc.rel_std = nan;
+  EXPECT_THROW(
+      traffic::FgnRateGenerator(f.simu, f.path, 0, false, 1, stats::Rng(1), fc),
+      std::invalid_argument);
+  fc.rel_std = 0.3;
+  fc.hurst = nan;
+  EXPECT_THROW(
+      traffic::FgnRateGenerator(f.simu, f.path, 0, false, 1, stats::Rng(1), fc),
+      std::invalid_argument);
 }
 
 // ----------------------------------------------------------- aggregate ---
