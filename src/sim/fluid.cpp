@@ -84,8 +84,8 @@ void FluidQueue::compute_tx(const std::uint32_t* sizes, std::size_t len) {
 std::size_t FluidQueue::bulk_retire(const SimTime* times,
                                     const std::uint32_t* sizes,
                                     const SimTime* tx, std::size_t i,
-                                    std::size_t n, SimTime record_until,
-                                    bool tapped, std::uint64_t& d_pkts,
+                                    std::size_t n, bool tapped,
+                                    std::uint64_t& d_pkts,
                                     std::uint64_t& d_bytes) {
   const std::size_t len = n - i;
   const SimTime* t = times + i;
@@ -98,40 +98,39 @@ std::size_t FluidQueue::bulk_retire(const SimTime* times,
   // unrolled form reproduces the per-packet departure chain exactly.
   // Arrival k starts a new busy run iff A[k] >= max_{j<k} A[j] (i.e. t[k]
   // >= the previous frontier).  Runs are retired as their boundary is
-  // found.  A run's bytes and frontier only grow, so the first arrival
-  // that takes its run past the byte limit (it could drop) or past the
-  // recording horizon stops the scan at the run's start, where the
-  // per-packet path takes over.
+  // found, so every retired run ends by an arrival of this call and
+  // therefore by the recording horizon.  A run's bytes only grow, so the
+  // first arrival that takes its run past the byte limit (it could drop)
+  // stops the scan at the run's start, where the per-packet path takes
+  // over.  So does the call's last run: no arrival here ends it, and a
+  // later call's first arrivals may join it, so its packets must stay in
+  // the FIFO, where their drop-tail test counts its queued bytes.
   std::size_t a = 0;           // current run start (local index)
   std::uint64_t run_bytes = 0; // bytes in the current run
   SimTime txp = 0;             // TxP[k]
   SimTime m = 0;               // max A over [0, k)
   SimTime prev_dep = 0;        // dep[k-1]
 
-  auto retire = [&](std::size_t b, SimTime run_end) {
-    if (tapped) {
-      for (std::size_t k = a; k < b; ++k) {
-        Packet pkt;
-        pkt.type = PacketType::kCross;
-        pkt.size_bytes = sz[k];
-        pkt.flow_id = flow_id_;
-        pkt.exit_hop = exit_hop_;
-        pkt.send_time = t[k];
-        link_.tap_(pkt, t[k]);
-      }
-    }
-    d_pkts += b - a;
-    d_bytes += run_bytes;
-    link_.meter_.add_busy(t[a], run_end, /*measurement=*/false);
-    emitted_until_ = run_end;
-    free_at_ = run_end;
-    bulk_packets_ += b - a;
-  };
-
   for (std::size_t k = 0; k < len; ++k) {
     const SimTime aval = t[k] - txp;
     if (k > 0 && aval >= m) {  // boundary: run [a, k) is complete
-      retire(k, prev_dep);
+      if (tapped) {
+        for (std::size_t j = a; j < k; ++j) {
+          Packet pkt;
+          pkt.type = PacketType::kCross;
+          pkt.size_bytes = sz[j];
+          pkt.flow_id = flow_id_;
+          pkt.exit_hop = exit_hop_;
+          pkt.send_time = t[j];
+          link_.tap_(pkt, t[j]);
+        }
+      }
+      d_pkts += k - a;
+      d_bytes += run_bytes;
+      link_.meter_.add_busy(t[a], prev_dep, /*measurement=*/false);
+      emitted_until_ = prev_dep;
+      free_at_ = prev_dep;
+      bulk_packets_ += k - a;
       a = k;
       run_bytes = 0;
     }
@@ -139,10 +138,9 @@ std::size_t FluidQueue::bulk_retire(const SimTime* times,
     txp += tx[k];
     prev_dep = m + txp;
     run_bytes += sz[k];
-    if (run_bytes > limit || prev_dep > record_until) return i + a;
+    if (run_bytes > limit) break;
   }
-  retire(len, prev_dep);
-  return n;
+  return i + a;
 }
 
 void FluidQueue::absorb(const SimTime* times, const std::uint32_t* sizes,
@@ -169,11 +167,11 @@ void FluidQueue::absorb(const SimTime* times, const std::uint32_t* sizes,
     if (head_ != q_.size()) pop_departures(t);
     if (head_ == q_.size() && t >= free_at_) {
       // Idle point: an empty server at t starts a fresh busy run.  While
-      // the next run cannot drop and ends by the recording horizon, none
-      // of its packets can be observed in flight, so bulk_retire()
-      // records it as one meter interval with batched counters and no
-      // queue traffic.  This is the common case for every workload below
-      // saturation.
+      // the next run cannot drop and a later arrival of this call ends
+      // it, none of its packets can be observed in flight, so
+      // bulk_retire() records it as one meter interval with batched
+      // counters and no queue traffic.  This is the common case for every
+      // workload below saturation.
       emit_busy(record_until);  // close the previous run (ends <= t)
       if (tx_from == n) {
         tx_from = i;
@@ -181,13 +179,12 @@ void FluidQueue::absorb(const SimTime* times, const std::uint32_t* sizes,
       }
       std::uint64_t bp = 0, bb = 0;
       i = bulk_retire(times, sizes, vtx_.data() + (i - tx_from), i, n,
-                      record_until, tapped, bp, bb);
+                      tapped, bp, bb);
       d_pkts_in += bp;
       d_bytes_in += bb;
       d_pkts_out += bp;
       d_bytes_out += bb;
-      if (i == n) break;
-      // The run at i could drop or straddles the horizon: the per-packet
+      // The run at i could drop or is the call's last: the per-packet
       // path below carries it exactly.
       t = times[i];
     }

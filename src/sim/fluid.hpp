@@ -14,8 +14,11 @@
 // absorb() has two paths.  At every idle point (empty queue, server
 // free) one vectorized pass retires each following busy run whole — one
 // meter interval and batched counters, no queue traffic — as long as the
-// run cannot drop and ends by the recording horizon.  A run that could
-// drop or that straddles the horizon goes through the per-packet FIFO.
+// run cannot drop and a later arrival of the same call ends it.  A run
+// that could drop, and each call's last run, go through the per-packet
+// FIFO: a later call's arrivals may still join the last run, and their
+// drop-tail test must count its queued bytes.  A caller may therefore
+// split an arrival stream into calls anywhere.
 //
 // Discrete packets (probes) join the same FIFO through admit(): the link
 // absorbs every cross arrival strictly before the packet's arrival, admit()
@@ -50,11 +53,13 @@ class FluidQueue {
   /// transmission in progress, empty queue).
   void reset(SimTime now);
 
-  /// Absorbs `n` arrivals (ascending times, all <= record_until).  Updates
-  /// link stats (packets/bytes in/out, drops) and records busy intervals
-  /// into the meter, truncated at `record_until` so recording never runs
-  /// ahead of the advance point (the meter requires time-ordered,
-  /// non-overlapping intervals across the fluid and DES regimes).
+  /// Absorbs `n` arrivals (non-decreasing times, all <= record_until, none
+  /// before the previous call's).  Updates link stats (packets/bytes
+  /// in/out, drops) and records busy intervals into the meter, truncated
+  /// at `record_until` so recording never runs ahead of the advance point
+  /// (the meter requires time-ordered, non-overlapping intervals across
+  /// the fluid and DES regimes).  A call may end inside a busy run that
+  /// the next call's arrivals continue.
   void absorb(const SimTime* times, const std::uint32_t* sizes,
               std::size_t n, SimTime record_until);
 
@@ -107,16 +112,16 @@ class FluidQueue {
 
   // Vectorized pass 2, whole-run retirement over arrivals [i, n) whose
   // serialization times are tx[0, n - i): an unrolled Lindley recurrence
-  // over prefix sums retires every complete busy run in bulk, up to the
-  // first run that could drop or that ends past `record_until`.  Returns
-  // the index of the first unretired arrival (== n when the whole tail
-  // retired); `d_pkts`/`d_bytes` accumulate the retired packet/byte
+  // over prefix sums retires in bulk every busy run that a later arrival
+  // in [i, n) ends, up to the first run that could drop.  Returns the
+  // index of the first unretired arrival (< n: the last run never
+  // retires); `d_pkts`/`d_bytes` accumulate the retired packet/byte
   // counts (in == out for a retired run).  Caller must be at an idle
   // point: empty queue, times[i] >= free_at_, previous run emitted.
   std::size_t bulk_retire(const SimTime* times, const std::uint32_t* sizes,
                           const SimTime* tx, std::size_t i, std::size_t n,
-                          SimTime record_until, bool tapped,
-                          std::uint64_t& d_pkts, std::uint64_t& d_bytes);
+                          bool tapped, std::uint64_t& d_pkts,
+                          std::uint64_t& d_bytes);
 
   struct TxMemo {
     std::uint32_t bytes = 0;

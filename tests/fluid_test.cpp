@@ -50,7 +50,21 @@ struct Arrival {
 };
 
 enum class GenKind { kCbr, kPoissonFixed, kPoissonTrimodal, kParetoOnOff,
-                     kParetoGap, kFgn, kTrace };
+                     kParetoGap, kFgn, kTrace, kBurstTrace };
+
+// Bursts of 5-7 full-size packets 1 us apart, one every 2.5 ms from
+// 100 ms (10,800 packets): each burst overfills a 6 kB queue, and the
+// mixed burst lengths put the boundaries of fixed-size pulls at many
+// offsets inside a burst, for pulls of 4,096 as well.
+std::vector<traffic::ReplayRecord> burst_records() {
+  std::vector<traffic::ReplayRecord> recs;
+  for (int b = 0; b < 1800; ++b) {
+    const SimTime start = 100 * kMillisecond + b * 2500 * sim::kMicrosecond;
+    for (int k = 0; k < 5 + b % 3; ++k)
+      recs.push_back({start + k * sim::kMicrosecond, 1500});
+  }
+  return recs;
+}
 
 std::unique_ptr<traffic::Generator> make_gen(GenKind kind, sim::Simulator& sim,
                                              sim::Path& path,
@@ -99,6 +113,9 @@ std::unique_ptr<traffic::Generator> make_gen(GenKind kind, sim::Simulator& sim,
       return std::make_unique<traffic::TraceGenerator>(sim, path, 0, false, 1,
                                                        std::move(recs));
     }
+    case GenKind::kBurstTrace:
+      return std::make_unique<traffic::TraceGenerator>(sim, path, 0, false, 1,
+                                                       burst_records());
   }
   throw std::logic_error("unknown kind");
 }
@@ -183,9 +200,15 @@ TEST(ChunkedApi, StartAndBeginStreamAreExclusive) {
 
 // Feeds the identical arrival sequence through a real event-driven link
 // and through a FluidQueue, then requires the utilization meter and the
-// link counters to agree exactly.
+// link counters to agree exactly.  The stream reaches absorb() in calls of
+// `pull` arrivals.  Each call's horizon is its last arrival, or, with
+// `horizon_at_end`, the stream end t1 for every call, as a sync spanning
+// several pulls passes its sync time: a call may then end inside a busy
+// run that the next call continues.
 void check_fluid_matches_des(GenKind kind, std::size_t queue_limit_bytes,
-                             double capacity_bps = 30e6) {
+                             double capacity_bps = 30e6,
+                             std::size_t pull = 256,
+                             bool horizon_at_end = false) {
   const SimTime t0 = 0;
   const SimTime t1 = 5 * kSecond;
   const std::uint64_t seed = 1234;
@@ -215,9 +238,9 @@ void check_fluid_matches_des(GenKind kind, std::size_t queue_limit_bytes,
   traffic::ArrivalChunk chunk;
   while (!gen_b->stream_done()) {
     chunk.clear();
-    if (gen_b->fill(chunk, 256) == 0) break;
+    if (gen_b->fill(chunk, pull) == 0) break;
     fq.absorb(chunk.times.data(), chunk.sizes.data(), chunk.size(),
-              chunk.times.back());
+              horizon_at_end ? t1 : chunk.times.back());
   }
   fq.advance(t1 + kSecond);
 
@@ -265,6 +288,18 @@ TEST(FluidQueue, MatchesDesThroughLongBusyPeriod) {
   // a backlog that grows to the 2 MB limit, so the FIFO erases its popped
   // prefix (at 4096 entries) twice while packets are still queued.
   check_fluid_matches_des(GenKind::kPoissonFixed, 2 << 20, 20e6);
+}
+
+TEST(FluidQueue, MatchesDesWhenCallsSplitBusyRuns) {
+  // Calls that end inside a busy run, each with a horizon past the run's
+  // end: the next call's first arrivals must count the run's bytes still
+  // queued in the drop-tail test.
+  for (std::size_t pull : {7, 64, 4096}) {
+    SCOPED_TRACE(pull);
+    check_fluid_matches_des(GenKind::kBurstTrace, 6 * 1024, 30e6, pull, true);
+    check_fluid_matches_des(GenKind::kParetoOnOff, 6 * 1024, 30e6, pull, true);
+    check_fluid_matches_des(GenKind::kPoissonFixed, 2 << 20, 30e6, pull, true);
+  }
 }
 
 TEST(FluidQueue, RejectsUnsupportedLinkFeatures) {
@@ -358,6 +393,37 @@ TEST(HybridScenario, TraceReplayAgreement) {
   }
   EXPECT_NEAR(truth[1], truth[0], truth[0] * 1e-9);
   EXPECT_EQ(bytes_in[1], bytes_in[0]);
+}
+
+// A sync that spans several pulls hands each whole pull to absorb() with
+// the sync time as its horizon, so a pull can end inside a burst that the
+// next pull continues.  Drop-tail must decide those arrivals as packet
+// mode does.
+TEST(HybridScenario, CrossOnlyDropsMatchPacketMode) {
+  const SimTime end = 5 * kSecond;
+  std::vector<std::uint64_t> seen[2];
+  int mi = 0;
+  for (sim::SimMode mode : {sim::SimMode::kPacket, sim::SimMode::kHybrid}) {
+    sim::LinkConfig lc;
+    lc.capacity_bps = 30e6;
+    lc.propagation_delay = kMillisecond;
+    lc.queue_limit_bytes = 6 * 1024;
+    auto sc = core::Scenario::custom({lc}, /*seed=*/1);
+    sc.add_cross_source(
+        std::make_unique<traffic::TraceGenerator>(sc.simulator(), sc.path(), 0,
+                                                  false, 1000, burst_records()),
+        0, false, 1000, mode, end + kSecond);
+    sc.simulator().run_until(end);
+    sc.path().sync_hybrid(end);
+    const sim::Link& link = sc.path().link(0);
+    const sim::LinkStats& st = link.stats();
+    seen[mi] = {st.packets_in,  st.packets_out, st.packets_dropped,
+                st.bytes_out,   link.meter().interval_count(),
+                std::bit_cast<std::uint64_t>(sc.ground_truth(0, end))};
+    ++mi;
+  }
+  EXPECT_GT(seen[0][2], 1000u);  // every burst drops in packet mode
+  EXPECT_EQ(seen[1], seen[0]);
 }
 
 // With probing, hybrid mode still reproduces packet mode exactly: the same
@@ -780,8 +846,10 @@ FluidOutcome run_fluid(double load_factor, std::size_t queue_limit,
 
 // Digests of the five schedules recorded when absorb() still had a
 // scalar whole-run loop beside the vectorized pass, identical with the
-// pass on or off.  The vectorized pass, now the only whole-run path, must
-// keep reproducing them.
+// pass on or off, except the straddle case, recorded again once a call's
+// last run stayed in the FIFO: the backlog it samples after each call
+// counts that run.  The vectorized pass, now the only whole-run path,
+// must keep reproducing them.
 TEST(FluidSimd, SchedulesMatchRecordedDigests) {
   struct Case {
     double load;
@@ -795,7 +863,7 @@ TEST(FluidSimd, SchedulesMatchRecordedDigests) {
       // heavy load: long runs, carried backlog
       {0.8, 2u << 20, false, 0x1147c87e85d9a331ull},
       // horizon straddles mid-chunk
-      {0.8, 2u << 20, true, 0xc5b7e23df50a3363ull},
+      {0.8, 2u << 20, true, 0x4c11d508bbdb5679ull},
       // tiny queue: drop path engages
       {0.9, 6000, false, 0xfb324338b3a2ee71ull},
       // overload: one run per chunk, deep backlog
