@@ -13,7 +13,6 @@
 #include <iostream>
 #include <vector>
 
-#include "core/experiment.hpp"
 #include "core/report.hpp"
 #include "core/scenario.hpp"
 
@@ -34,7 +33,8 @@ std::vector<Sample> collect(core::CrossModel model, std::uint64_t seed) {
   std::vector<Sample> out;
   for (double ri = 15e6; ri <= 35e6 + 1; ri += 2.5e6) {
     for (int s = 0; s < 60; ++s) {
-      auto res = core::capture_stream(sc, ri, 1500, 100);
+      auto res = sc.transport().send_stream(
+          probe::StreamSpec::periodic(ri, 1500, 100));
       if (!res.complete()) continue;
       out.push_back({res.rate_ratio(), ri > sc.nominal_avail_bw()});
     }

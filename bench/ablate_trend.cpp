@@ -17,7 +17,6 @@
 #include <iostream>
 #include <vector>
 
-#include "core/experiment.hpp"
 #include "core/report.hpp"
 #include "core/scenario.hpp"
 #include "stats/trend.hpp"
@@ -71,7 +70,8 @@ int main() {
   std::vector<Sample> samples;
   for (double ri : {17.5e6, 20e6, 22.5e6, 27.5e6, 30e6, 32.5e6}) {
     for (int s = 0; s < 150; ++s) {
-      auto res = core::capture_stream(sc, ri, 1500, 160);
+      auto res = sc.transport().send_stream(
+          probe::StreamSpec::periodic(ri, 1500, 160));
       if (!res.complete()) continue;
       samples.push_back({res.rate_ratio(), res.owds_seconds(),
                          ri > sc.nominal_avail_bw()});

@@ -17,7 +17,6 @@
 #include <memory>
 #include <string>
 
-#include "core/experiment.hpp"
 #include "core/report.hpp"
 #include "core/scenario.hpp"
 #include "obs/trace.hpp"
@@ -71,7 +70,8 @@ int main(int argc, char** argv) {
   probe::StreamResult above;
   bool found_above = false;
   for (int i = 0; i < 300 && !found_above; ++i) {
-    above = core::capture_stream(sc, 27e6, 1500, 160);
+    above = sc.transport().send_stream(
+        probe::StreamSpec::periodic(27e6, 1500, 160));
     if (!above.complete()) continue;
     found_above = stats::combined_trend(above.owds_seconds()) ==
                       stats::Trend::kIncreasing &&
@@ -83,7 +83,8 @@ int main(int argc, char** argv) {
   probe::StreamResult below;
   bool found_below = false;
   for (int i = 0; i < 500 && !found_below; ++i) {
-    below = core::capture_stream(sc, 19e6, 1500, 160);
+    below = sc.transport().send_stream(
+        probe::StreamSpec::periodic(19e6, 1500, 160));
     if (!below.complete()) continue;
     found_below = stats::combined_trend(below.owds_seconds()) ==
                       stats::Trend::kNonIncreasing &&

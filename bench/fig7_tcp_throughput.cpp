@@ -58,7 +58,7 @@ std::pair<double, double> run_once(CrossKind kind, std::uint32_t wr,
   auto& simu = sc.simulator();
 
   tcp::TcpReceiverHub hub;
-  sc.session().demux().register_handler(sim::PacketType::kTcpData, &hub);
+  sc.transport().demux().register_handler(sim::PacketType::kTcpData, &hub);
   stats::Rng rng(seed * 31 + 7);
 
   // Cross traffic.

@@ -119,7 +119,7 @@ void BM_FlapTracking(benchmark::State& state) {
     lag = -1.0;
     std::size_t i = 0;
     for (sim::SimTime t = start + tick; t <= start + 20 * kSecond; t += tick) {
-      auto res = sc.session().send_stream_now(
+      auto res = sc.transport().send_stream(
           probe::StreamSpec::periodic(rates[i++ & 3], 1200, 60));
       tracker.feed(res);
       ++streams;

@@ -272,7 +272,7 @@ void BM_ProbeStreamRoundTrip(benchmark::State& state) {
   auto sc = core::Scenario::single_hop(cfg);
   auto spec = probe::StreamSpec::periodic(40e6, 1500, 100);
   for (auto _ : state) {
-    auto res = sc.session().send_stream_now(spec);
+    auto res = sc.transport().send_stream(spec);
     benchmark::DoNotOptimize(res.output_rate_bps());
   }
   state.SetItemsProcessed(state.iterations() * 100);

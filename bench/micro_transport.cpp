@@ -9,7 +9,7 @@
 //
 //   TRANS_sim_stream
 //       items_per_second = 100-packet streams retired per wall second
-//       through SimTransport over the paper's single-hop scenario —
+//       through the ProbeSession of the paper's single-hop scenario —
 //       the interface-dispatch + simulation cost of the redesigned path.
 //   TRANS_udp_stream
 //       items_per_second = 100-packet streams per wall second over
@@ -48,7 +48,7 @@ struct BenchRun {
 };
 
 // ---------------------------------------------------------------------------
-// SimTransport: streams through the simulated substrate
+// ProbeSession: streams through the simulated substrate
 
 BenchRun run_sim_stream() {
   constexpr int kStreams = 200;

@@ -62,9 +62,9 @@ std::vector<ToolRun> run_one_seed(core::CrossModel model, std::size_t seed) {
     r.name = tool->name();
     r.cls = tool->probing_class() == est::ProbingClass::kDirect ? "direct"
                                                                 : "iterative";
-    auto before = sc.session().cost();
+    auto before = sc.transport().cost();
     est::Estimate e = tool->estimate(sc.transport());
-    auto after = sc.session().cost();
+    auto after = sc.transport().cost();
     r.valid = e.valid;
     if (e.valid) {
       double truth = sc.nominal_avail_bw();

@@ -243,7 +243,7 @@ int main(int argc, char** argv) {
     if (args.skew_ppm != 0.0) {
       probe::ReceiverClock clock;
       clock.drift_ppm = args.skew_ppm;
-      sc.session().set_receiver_clock(clock);
+      sc.transport().set_receiver_clock(clock);
     }
 
     // Observability: the trace sink sees every layer (links, session,

@@ -150,7 +150,7 @@ TrackStats run_kalman(bool bursty) {
   const double rates[4] = {30e6, 40e6, 50e6, 60e6};
   int i = 0;
   auto rows = track(sc, tracker, [&] {
-    auto res = sc.session().send_stream_now(
+    auto res = sc.transport().send_stream(
         probe::StreamSpec::periodic(rates[i++ % 4], 1200, 60));
     tracker.feed(res);
   });
@@ -160,7 +160,7 @@ TrackStats run_kalman(bool bursty) {
 TrackStats run_tcp(bool bursty) {
   core::Scenario sc = make_scenario(bursty);
   tcp::TcpReceiverHub hub;
-  sc.session().demux().register_handler(sim::PacketType::kTcpData, &hub);
+  sc.transport().demux().register_handler(sim::PacketType::kTcpData, &hub);
   tcp::TcpConfig tcfg;
   tcfg.measurement_flow = true;  // excluded from the ground-truth meter
   tcp::TcpConnection conn(sc.simulator(), sc.path(), hub, 9001, tcfg);

@@ -22,7 +22,7 @@ std::vector<RatioPoint> measure_ratio_curve(Scenario& sc,
     stats::RunningStats acc;
     for (std::size_t s = 0; s < cfg.streams_per_rate; ++s) {
       probe::StreamResult res =
-          sc.session().send_stream_now(spec, cfg.inter_stream_gap);
+          sc.transport().send_stream(spec, cfg.inter_stream_gap);
       double ratio = res.rate_ratio();
       if (ratio > 0.0) acc.add(ratio);
     }
@@ -85,7 +85,7 @@ std::vector<double> collect_pair_samples(Scenario& sc, double tight_capacity_bps
                                          sim::SimTime mean_pair_gap) {
   probe::StreamSpec spec = probe::StreamSpec::pair_train(
       tight_capacity_bps, packet_size, count, mean_pair_gap, sc.rng());
-  probe::StreamResult res = sc.session().send_stream_now(spec);
+  probe::StreamResult res = sc.transport().send_stream(spec);
   double gin =
       sim::to_seconds(sim::transmission_time(packet_size, tight_capacity_bps));
   std::vector<double> samples;
@@ -98,14 +98,6 @@ std::vector<double> collect_pair_samples(Scenario& sc, double tight_capacity_bps
     samples.push_back(std::clamp(s, 0.0, tight_capacity_bps));
   }
   return samples;
-}
-
-probe::StreamResult capture_stream(Scenario& sc, double rate_bps,
-                                   std::uint32_t packet_size,
-                                   std::size_t packet_count) {
-  probe::StreamSpec spec =
-      probe::StreamSpec::periodic(rate_bps, packet_size, packet_count);
-  return sc.session().send_stream_now(spec);
 }
 
 std::vector<double> ground_truth_series(Scenario& sc, sim::SimTime t0,

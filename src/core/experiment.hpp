@@ -65,12 +65,6 @@ std::vector<double> collect_pair_samples(Scenario& sc, double tight_capacity_bps
                                          std::size_t count,
                                          sim::SimTime mean_pair_gap);
 
-/// Sends one periodic stream and returns the receiver's full result
-/// (Fig. 5 needs the raw OWD series).
-probe::StreamResult capture_stream(Scenario& sc, double rate_bps,
-                                   std::uint32_t packet_size,
-                                   std::size_t packet_count);
-
 /// Ground-truth A_tau(t) series of the tight link over [t0, t1),
 /// excluding measurement traffic — works in both simulation modes (in
 /// hybrid mode it first syncs the fluid accounting through t1, which is

@@ -240,7 +240,8 @@ FallacyResult f8(std::uint64_t seed) {
   int contradictions = 0, streams = 0;
   std::string example;
   for (int i = 0; i < 150 && contradictions == 0; ++i) {
-    probe::StreamResult res = capture_stream(s, 19e6, 1500, 160);
+    probe::StreamResult res = s.transport().send_stream(
+        probe::StreamSpec::periodic(19e6, 1500, 160));
     if (!res.complete()) continue;
     ++streams;
     double ratio = res.rate_ratio();
@@ -294,7 +295,7 @@ FallacyResult f10(std::uint64_t seed) {
 
   auto tcp_throughput = [&](std::uint32_t wr) {
     tcp::TcpReceiverHub hub;
-    s.session().demux().register_handler(sim::PacketType::kTcpData, &hub);
+    s.transport().demux().register_handler(sim::PacketType::kTcpData, &hub);
     tcp::TcpConfig tc;
     tc.receiver_window = wr;
     // A WAN-like RTT so a small advertised window truly caps the rate:
@@ -305,7 +306,7 @@ FallacyResult f10(std::uint64_t seed) {
     conn.start(t0);
     s.simulator().run_until(t0 + 8 * sim::kSecond);
     double bps = conn.throughput_bps(s.simulator().now());
-    s.session().demux().register_handler(sim::PacketType::kTcpData, nullptr);
+    s.transport().demux().register_handler(sim::PacketType::kTcpData, nullptr);
     return bps;
   };
 

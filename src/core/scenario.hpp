@@ -17,7 +17,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "probe/session.hpp"
-#include "probe/transport.hpp"
 #include "sim/hybrid.hpp"
 #include "sim/path.hpp"
 #include "sim/simulator.hpp"
@@ -164,15 +163,11 @@ class Scenario {
 
   sim::Simulator& simulator() { return *sim_; }
   sim::Path& path() { return *path_; }
-  probe::ProbeSession& session() { return *session_; }
   stats::Rng& rng() { return *rng_; }
 
-  /// The session as a probe::Transport — what estimators take since the
-  /// transport redesign.  Lazily built; forwards 1:1 to session().
-  probe::SimTransport& transport() {
-    if (!transport_) transport_ = std::make_unique<probe::SimTransport>(*session_);
-    return *transport_;
-  }
+  /// The probe session over the path: the probe::Transport estimators
+  /// take, and the one way to send a simulated stream.
+  probe::ProbeSession& transport() { return *session_; }
 
   /// Configured long-run avail-bw (capacity minus offered cross rate on
   /// the tight link) — the experiment's design value A.
@@ -217,7 +212,6 @@ class Scenario {
   // Cross-traffic sources (incl. hybrid wrappers); destroyed before path_.
   CrossTraffic cross_;
   std::unique_ptr<probe::ProbeSession> session_;
-  std::unique_ptr<probe::SimTransport> transport_;  // lazy; over *session_
   double nominal_avail_bw_ = 0.0;
   sim::SimTime traffic_until_ = 0;
 };

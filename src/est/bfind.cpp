@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "probe/session.hpp"
 #include "probe/stream_spec.hpp"
 #include "sim/event_line.hpp"
 #include "stats/moments.hpp"
@@ -58,9 +59,7 @@ Estimate Bfind::do_estimate(probe::Transport& transport) {
   for (double rate = cfg_.initial_rate_bps; rate <= cfg_.max_rate_bps;
        rate += cfg_.rate_step_bps, ++steps) {
     if (AbortReason r = guard.exceeded(); r != AbortReason::kNone) {
-      Estimate e = abort_estimate(r, name());
-      e.cost = transport.cost();
-      return e;
+      return abort_estimate(r, name());
     }
 
     auto count = static_cast<std::size_t>(
@@ -82,7 +81,7 @@ Estimate Bfind::do_estimate(probe::Transport& transport) {
       for (sim::SimTime t = step_start; t < step_start + cfg_.step_duration;
            t += cfg_.sample_interval)
         samplers.push(t, DelaySample{&path, &delays_ms});
-      session->send_stream(spec, step_start);
+      session->send_stream(spec, step_start - sim.now());
       // Ensure all samplers fired even if the stream drained early: the
       // line must be empty before it goes out of scope.
       sim.run_until(step_start + cfg_.step_duration);
@@ -124,7 +123,6 @@ Estimate Bfind::do_estimate(probe::Transport& transport) {
     decision(transport, "rate-step", "queue-growth", steps, rate,
              static_cast<double>(grown_hop));
     Estimate e = Estimate::point(rate);
-    e.cost = transport.cost();
     e.detail = "queue growth at hop " +
                (grown_hop == sim::kEndToEnd ? std::string("end-to-end")
                                             : std::to_string(grown_hop)) +
@@ -139,7 +137,6 @@ Estimate Bfind::do_estimate(probe::Transport& transport) {
       Estimate::invalid("bfind: no hop showed queue growth up to max rate");
   e.diag("flagged_hop", -1.0);
   e.diag("steps", static_cast<double>(steps));
-  e.cost = transport.cost();
   return e;
 }
 

@@ -11,6 +11,7 @@
 #pragma once
 
 #include "est/estimator.hpp"
+#include "sim/packet.hpp"
 
 namespace abw::est {
 

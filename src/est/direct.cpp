@@ -53,9 +53,7 @@ Estimate DirectProber::do_estimate(probe::Transport& transport) {
   LimitGuard guard(limits_, transport);
   for (std::size_t k = 0; k < cfg_.stream_count; ++k) {
     if (AbortReason r = guard.exceeded(); r != AbortReason::kNone) {
-      Estimate e = abort_estimate(r, name());
-      e.cost = transport.cost();
-      return e;
+      return abort_estimate(r, name());
     }
     if (auto a = sample(transport)) {
       acc.add(*a);
@@ -84,11 +82,9 @@ Estimate DirectProber::do_estimate(probe::Transport& transport) {
         "direct: no stream congested the tight link (Ri <= A?)");
     e.diag("samples", 0.0);
     e.diag("unusable", static_cast<double>(unusable));
-    e.cost = transport.cost();
     return e;
   }
   Estimate e = Estimate::range(acc.mean() - acc.stddev(), acc.mean() + acc.stddev());
-  e.cost = transport.cost();
   e.detail = "samples=" + std::to_string(acc.count()) +
              " unusable=" + std::to_string(unusable);
   e.diag("samples", static_cast<double>(acc.count()));

@@ -117,6 +117,7 @@ Estimate Estimator::estimate(probe::Transport& transport) {
     obs::ScopedTimer timer(metrics_ ? &metrics_->timer(timer_key) : nullptr);
     e = do_estimate(transport);
   }
+  e.cost = transport.cost();
 
   // Synthesize the human-readable detail from the structured diagnostics
   // when the tool did not set one ("key=value key=value ...").

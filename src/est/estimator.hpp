@@ -18,7 +18,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "probe/session.hpp"
 #include "probe/transport.hpp"
 
 namespace abw::est {
@@ -68,7 +67,10 @@ struct Estimate {
   double low_bps = 0.0;
   double high_bps = 0.0;
   AbortReason abort = AbortReason::kNone;  ///< set when limits cut the run short
-  probe::ProbeCost cost;  ///< probing overhead consumed by this estimate
+  /// The transport's running probing totals when this estimate returned,
+  /// stamped by Estimator::estimate(): they include every earlier stream
+  /// on the same transport, and first_send is the transport's first send.
+  probe::ProbeCost cost;
   /// Structured per-run diagnostics, populated by every tool — the
   /// primary introspection channel (machine-readable; serialized by
   /// to_json()).  `detail` remains for human eyes and is synthesized
@@ -133,17 +135,17 @@ struct Estimate {
 ///
 /// Template method: estimate() is the non-virtual public entry point; it
 /// wraps the technique's do_estimate() with the cross-cutting concerns —
-/// a profiling timer ("est.<name>.seconds"), run/valid/abort counters and
-/// per-diagnostic gauges in the attached MetricsRegistry, a final
-/// decision trace event, and synthesis of the human-readable `detail`
-/// from `diagnostics` when the tool left it empty.  Tools override the
-/// protected do_estimate() only.
+/// a profiling timer ("est.<name>.seconds"), the Estimate::cost stamp,
+/// run/valid/abort counters and per-diagnostic gauges in the attached
+/// MetricsRegistry, a final decision trace event, and synthesis of the
+/// human-readable `detail` from `diagnostics` when the tool left it
+/// empty.  Tools override the protected do_estimate() only.
 class Estimator {
  public:
   virtual ~Estimator() = default;
 
   /// Runs the technique to completion over any measurement substrate —
-  /// simulated (probe::SimTransport) or live (net::UdpTransport) —
+  /// simulated (probe::ProbeSession) or live (net::UdpTransport) —
   /// advancing the transport's clock as real tools consume wall-clock
   /// time, and returns its estimate.
   Estimate estimate(probe::Transport& transport);

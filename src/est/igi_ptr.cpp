@@ -80,9 +80,7 @@ Estimate IgiPtr::do_estimate(probe::Transport& transport) {
       decision(transport, "phase", "no-turning-point", phase, 0.0);
     }
     if (abort != AbortReason::kNone) {
-      Estimate e = abort_estimate(abort, name());
-      e.cost = transport.cost();
-      return e;
+      return abort_estimate(abort, name());
     }
   }
   if (igis.empty()) {
@@ -91,7 +89,6 @@ Estimate IgiPtr::do_estimate(probe::Transport& transport) {
     e.diag("phases_used", 0.0);
     e.diag("phases", static_cast<double>(cfg_.repetitions));
     e.diag("trains", static_cast<double>(trains_used_));
-    e.cost = transport.cost();
     return e;
   }
 
@@ -99,7 +96,6 @@ Estimate IgiPtr::do_estimate(probe::Transport& transport) {
   last_ptr_ = stats::median(ptrs);
   double point = formula_ == IgiPtrFormula::kIgi ? last_igi_ : last_ptr_;
   Estimate e = Estimate::point(point);
-  e.cost = transport.cost();
   e.detail = "phases=" + std::to_string(igis.size()) + "/" +
              std::to_string(cfg_.repetitions) +
              " trains=" + std::to_string(trains_used_);

@@ -111,9 +111,7 @@ Estimate PathChirp::do_estimate(probe::Transport& transport) {
   LimitGuard guard(limits_, transport);
   for (std::size_t c = 0; c < cfg_.chirps; ++c) {
     if (AbortReason r = guard.exceeded(); r != AbortReason::kNone) {
-      Estimate e = abort_estimate(r, name());
-      e.cost = transport.cost();
-      return e;
+      return abort_estimate(r, name());
     }
     probe::StreamResult res = transport.send_stream(spec, cfg_.inter_chirp_gap);
     if (!res.complete()) {
@@ -130,11 +128,9 @@ Estimate PathChirp::do_estimate(probe::Transport& transport) {
                                    "pathchirp: no usable chirps");
     e.diag("chirps_used", 0.0);
     e.diag("chirps_sent", static_cast<double>(cfg_.chirps));
-    e.cost = transport.cost();
     return e;
   }
   Estimate e = Estimate::point(stats::mean(chirp_estimates_));
-  e.cost = transport.cost();
   e.detail = "chirps=" + std::to_string(chirp_estimates_.size());
   e.diag("chirps_used", static_cast<double>(chirp_estimates_.size()));
   e.diag("chirps_sent", static_cast<double>(cfg_.chirps));

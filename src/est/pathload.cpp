@@ -97,9 +97,7 @@ Estimate Pathload::do_estimate(probe::Transport& transport) {
              fleets_used_, rate, hi - lo);
     if (abort_ != AbortReason::kNone) {
       guard_ = nullptr;
-      Estimate e = abort_estimate(abort_, name());
-      e.cost = transport.cost();
-      return e;
+      return abort_estimate(abort_, name());
     }
     switch (verdict) {
       case FleetVerdict::kAboveAvailBw:
@@ -136,11 +134,9 @@ Estimate Pathload::do_estimate(probe::Transport& transport) {
     Estimate e = Estimate::invalid("pathload: search did not converge");
     e.diag("fleets", static_cast<double>(fleets_used_));
     e.diag("grey", saw_grey ? 1.0 : 0.0);
-    e.cost = transport.cost();
     return e;
   }
   Estimate e = Estimate::range(out_lo, out_hi);
-  e.cost = transport.cost();
   e.detail = "fleets=" + std::to_string(fleets_used_) +
              (saw_grey ? " grey-region" : "");
   e.diag("fleets", static_cast<double>(fleets_used_));

@@ -54,9 +54,7 @@ Estimate SChirp::do_estimate(probe::Transport& transport) {
   LimitGuard guard(limits_, transport);
   for (std::size_t c = 0; c < cc.chirps; ++c) {
     if (AbortReason r = guard.exceeded(); r != AbortReason::kNone) {
-      Estimate e = abort_estimate(r, name());
-      e.cost = transport.cost();
-      return e;
+      return abort_estimate(r, name());
     }
     probe::StreamResult res = transport.send_stream(spec, cc.inter_chirp_gap);
     if (!res.complete()) {
@@ -73,7 +71,6 @@ Estimate SChirp::do_estimate(probe::Transport& transport) {
                                    "schirp: no usable chirps");
     e.diag("chirps_used", 0.0);
     e.diag("smooth_window", static_cast<double>(cfg_.smooth_window));
-    e.cost = transport.cost();
     return e;
   }
   // Median across chirps: single-chirp excursion analysis is noisy in
@@ -81,7 +78,6 @@ Estimate SChirp::do_estimate(probe::Transport& transport) {
   // the robust-location spirit of the smoothed variant extends naturally
   // to the cross-chirp aggregate.
   Estimate e = Estimate::point(stats::median(per_chirp));
-  e.cost = transport.cost();
   e.detail = "chirps=" + std::to_string(per_chirp.size()) +
              " smooth=" + std::to_string(cfg_.smooth_window);
   e.diag("chirps_used", static_cast<double>(per_chirp.size()));

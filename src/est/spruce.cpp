@@ -57,11 +57,9 @@ Estimate Spruce::do_estimate(probe::Transport& transport) {
                                    "spruce: all pairs lost");
     e.diag("pairs_used", 0.0);
     e.diag("pairs_lost", static_cast<double>(pairs_lost));
-    e.cost = transport.cost();
     return e;
   }
   Estimate e = Estimate::point(stats::mean(samples_));
-  e.cost = transport.cost();
   e.detail = "pairs=" + std::to_string(samples_.size());
   e.diag("pairs_used", static_cast<double>(samples_.size()));
   e.diag("pairs_lost", static_cast<double>(pairs_lost));

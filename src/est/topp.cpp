@@ -25,9 +25,7 @@ Estimate Topp::do_estimate(probe::Transport& transport) {
   for (double rate = cfg_.min_rate_bps; rate <= cfg_.max_rate_bps;
        rate += cfg_.rate_step_bps) {
     if (AbortReason r = guard.exceeded(); r != AbortReason::kNone) {
-      Estimate e = abort_estimate(r, name());
-      e.cost = transport.cost();
-      return e;
+      return abort_estimate(r, name());
     }
     probe::StreamSpec spec = probe::StreamSpec::pair_train(
         rate, cfg_.packet_size, cfg_.pairs_per_rate, cfg_.mean_pair_gap, rng_);
@@ -54,7 +52,6 @@ Estimate Topp::do_estimate(probe::Transport& transport) {
     Estimate e = Estimate::aborted(AbortReason::kInsufficientData,
                                    "topp: sweep produced too little data");
     e.diag("rates_measured", static_cast<double>(curve_.size()));
-    e.cost = transport.cost();
     return e;
   }
 
@@ -105,7 +102,6 @@ Estimate Topp::do_estimate(probe::Transport& transport) {
         ct <= 10.0 * cfg_.max_rate_bps) {
       est_capacity_ = ct;
       Estimate e = Estimate::point(a);
-      e.cost = transport.cost();
       e.detail = "segmented regression: Ct=" + std::to_string(ct / 1e6) + "Mbps";
       e.diag("rates_measured", static_cast<double>(curve_.size()));
       e.diag("capacity_est_bps", ct);
@@ -122,11 +118,9 @@ Estimate Topp::do_estimate(probe::Transport& transport) {
     Estimate e = Estimate::invalid("topp: even the lowest rate was distorted");
     e.diag("rates_measured", static_cast<double>(curve_.size()));
     e.diag("fallback", 1.0);
-    e.cost = transport.cost();
     return e;
   }
   Estimate e = Estimate::point(best);
-  e.cost = transport.cost();
   e.detail = "threshold fallback (segmented regression unusable)";
   e.diag("rates_measured", static_cast<double>(curve_.size()));
   e.diag("fallback", 1.0);

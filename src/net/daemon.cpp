@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <stdexcept>
 #include <vector>
@@ -31,6 +32,10 @@ std::int64_t realtime_ns() {
 // Streams are bounded to something a report can describe; a count beyond
 // this is a malformed (or hostile) header, not a measurement.
 constexpr std::uint32_t kMaxStreamPackets = 1u << 20;
+
+bool same_peer(const sockaddr_in& a, const sockaddr_in& b) {
+  return a.sin_addr.s_addr == b.sin_addr.s_addr && a.sin_port == b.sin_port;
+}
 
 }  // namespace
 
@@ -135,18 +140,28 @@ struct Daemon::Impl {
     send_to(peer, ack, nullptr, 0);
   }
 
+  // The session `h` names, when `peer` is the address and port that
+  // opened it: a session id alone never lets another sender in.
+  Session* find_session(const sockaddr_in& peer, const WireHeader& h) {
+    auto it = sessions.find(h.session_id);
+    if (it == sessions.end() || !same_peer(it->second.peer, peer))
+      return nullptr;
+    return &it->second;
+  }
+
   // Returns the session for `h`, enforcing the advertised limits; sends
-  // the kAbort (once) and returns nullptr when the session is over
-  // budget/deadline or unknown.  mu held by the caller.
+  // the kAbort (once, to the session's peer) and returns nullptr when the
+  // session is over budget/deadline, and answers kUnknownSession when
+  // `peer` has no such session.  mu held by the caller.
   Session* admit(const sockaddr_in& peer, const WireHeader& h,
                  std::int64_t stamp_ns, std::uint64_t probe_cost) {
-    auto it = sessions.find(h.session_id);
-    if (it == sessions.end()) {
+    Session* found = find_session(peer, h);
+    if (found == nullptr) {
       send_control(peer, MsgType::kAbort, h.session_id,
                    AbortCode::kUnknownSession);
       return nullptr;
     }
-    Session& s = it->second;
+    Session& s = *found;
     s.last_activity_ns = stamp_ns;
     if (s.aborted) return nullptr;
     AbortCode code = AbortCode::kNone;
@@ -161,10 +176,38 @@ struct Daemon::Impl {
       s.abort_code = code;
       ++stats.aborts_sent;
       emit("abort", abort_code_name(code), s.id, h.stream_id, s.packets_seen);
-      send_control(peer, MsgType::kAbort, s.id, code);
+      send_control(s.peer, MsgType::kAbort, s.id, code);
       return nullptr;
     }
     return &s;
+  }
+
+  // The record of stream `stream_id` of `s`.  A stream seen for the first
+  // time starts with every probe lost, and the session then drops its
+  // oldest other streams beyond max_streams_kept.  nullptr (counted as
+  // malformed) for a count no report can describe.  mu held by the caller.
+  Stream* open_stream(Session& s, std::uint32_t stream_id,
+                      std::uint32_t count) {
+    if (count == 0 || count > kMaxStreamPackets) {
+      ++stats.malformed;
+      return nullptr;
+    }
+    auto [it, fresh] = s.streams.try_emplace(stream_id);
+    Stream& st = it->second;
+    if (fresh) {
+      st.result.stream_id = stream_id;
+      st.result.packets.resize(count);
+      for (std::uint32_t i = 0; i < count; ++i) {
+        st.result.packets[i].seq = i;
+        st.result.packets[i].lost = true;
+      }
+      // Never the stream just opened, even when its id is the lowest.
+      const std::size_t keep = std::max<std::size_t>(cfg.max_streams_kept, 1);
+      while (s.streams.size() > keep)
+        s.streams.erase(s.streams.begin() != it ? s.streams.begin()
+                                                : std::next(it));
+    }
+    return &st;
   }
 
   void on_probe(const sockaddr_in& peer, const WireHeader& h,
@@ -173,24 +216,9 @@ struct Daemon::Impl {
     ++stats.probes_in;
     Session* s = admit(peer, h, stamp_ns, 1);
     if (s == nullptr) return;
-    if (h.count == 0 || h.count > kMaxStreamPackets) {
-      ++stats.malformed;
-      return;
-    }
-    auto [it, fresh] = s->streams.try_emplace(h.stream_id);
-    Stream& st = it->second;
-    if (fresh) {
-      st.result.stream_id = h.stream_id;
-      st.result.packets.resize(h.count);
-      for (std::uint32_t i = 0; i < h.count; ++i) {
-        st.result.packets[i].seq = i;
-        st.result.packets[i].lost = true;
-      }
-      st.recv.reset();
-      while (s->streams.size() > cfg.max_streams_kept)
-        s->streams.erase(s->streams.begin());
-    }
-    probe::ProbeRecord* rec = st.recv.accept(st.result, h.seq);
+    Stream* st = open_stream(*s, h.stream_id, h.count);
+    if (st == nullptr) return;
+    probe::ProbeRecord* rec = st->recv.accept(st->result, h.seq);
     if (rec == nullptr) return;  // duplicate (counted) or out of range
     rec->size_bytes = static_cast<std::uint32_t>(datagram_len);
     rec->sent = static_cast<sim::SimTime>(h.t_ns);
@@ -202,30 +230,18 @@ struct Daemon::Impl {
     std::lock_guard<std::mutex> lock(mu);
     Session* s = admit(peer, h, stamp_ns, 0);
     if (s == nullptr) return;
-    auto it = s->streams.find(h.stream_id);
-    if (it == s->streams.end()) {
-      // Every probe of the stream was lost: synthesize the empty stream
-      // so the client gets a (vacuous) report instead of a timeout.
-      if (h.count == 0 || h.count > kMaxStreamPackets) {
-        ++stats.malformed;
-        return;
-      }
-      auto [fresh_it, _] = s->streams.try_emplace(h.stream_id);
-      fresh_it->second.result.stream_id = h.stream_id;
-      fresh_it->second.result.packets.resize(h.count);
-      for (std::uint32_t i = 0; i < h.count; ++i) {
-        fresh_it->second.result.packets[i].seq = i;
-        fresh_it->second.result.packets[i].lost = true;
-      }
-      it = fresh_it;
-    }
-    send_report(peer, *s, it->second);
+    // A stream whose every probe was lost is opened here, so the client
+    // gets a (vacuous) report instead of a timeout.
+    Stream* st = open_stream(*s, h.stream_id, h.count);
+    if (st == nullptr) return;
+    send_report(*s, *st);
   }
 
-  // Sends the full report for `st`: received (seq, stamp) records split
-  // into MTU-sized fragments.  A retried kStreamEnd re-enters here and
-  // naturally picks up probes that were still in flight the first time.
-  void send_report(const sockaddr_in& peer, Session& s, const Stream& st) {
+  // Sends the full report for `st` to the session's peer: received (seq,
+  // stamp) records split into MTU-sized fragments.  A retried kStreamEnd
+  // re-enters here and naturally picks up probes that were still in
+  // flight the first time.
+  void send_report(const Session& s, const Stream& st) {
     std::vector<ReportRecord> records;
     records.reserve(st.result.packets.size());
     for (const probe::ProbeRecord& r : st.result.packets)
@@ -257,18 +273,19 @@ struct Daemon::Impl {
                              out + kHeaderSize + (i - begin) * kReportRecordSize);
       (void)::sendto(fd, out,
                      kHeaderSize + (end - begin) * kReportRecordSize, 0,
-                     reinterpret_cast<const sockaddr*>(&peer), sizeof(peer));
+                     reinterpret_cast<const sockaddr*>(&s.peer),
+                     sizeof(s.peer));
     }
     ++stats.reports_sent;
     emit("report", "sent", s.id, st.result.stream_id, records.size());
   }
 
-  void on_bye(const WireHeader& h) {
+  void on_bye(const sockaddr_in& peer, const WireHeader& h) {
     std::lock_guard<std::mutex> lock(mu);
-    auto it = sessions.find(h.session_id);
-    if (it == sessions.end()) return;
-    emit("bye", "closed", h.session_id, 0, it->second.packets_seen);
-    sessions.erase(it);
+    Session* s = find_session(peer, h);
+    if (s == nullptr) return;  // unknown here, or not the session's peer
+    emit("bye", "closed", s->id, 0, s->packets_seen);
+    sessions.erase(s->id);
   }
 
   void expire_sessions(std::int64_t now) {
@@ -297,7 +314,7 @@ struct Daemon::Impl {
       case MsgType::kHello: on_hello(peer, h, stamp_ns); break;
       case MsgType::kProbe: on_probe(peer, h, len, stamp_ns); break;
       case MsgType::kStreamEnd: on_stream_end(peer, h, stamp_ns); break;
-      case MsgType::kBye: on_bye(h); break;
+      case MsgType::kBye: on_bye(peer, h); break;
       default: {
         // Client-bound types arriving here are stray reflections; drop.
         std::lock_guard<std::mutex> lock(mu);

@@ -3,7 +3,11 @@
 //
 // One UDP socket, one poll() loop on a private thread, many concurrent
 // measurement sessions demultiplexed by the session_id the daemon
-// assigns at kHello.  Per stream the daemon runs the SAME
+// assigns at kHello.  A session is bound to the address and port that
+// opened it: a datagram naming it from anywhere else is treated as
+// naming an unknown session (a kBye from there is ignored), and the
+// session's reports and aborts go only to its own peer.  Per stream the
+// daemon runs the SAME
 // probe::ReceiverState dedup/reorder accounting the simulator uses, so a
 // live StreamResult is impaired exactly the way a simulated one is.
 //
@@ -40,7 +44,9 @@ struct DaemonConfig {
   std::string bind_host = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = ephemeral; read back with port()
   std::size_t max_sessions = 64;     ///< admission: kHelloReject beyond
-  std::size_t max_streams_kept = 8;  ///< per session; oldest dropped
+  /// Streams kept per session (at least 1): opening one more, by a probe
+  /// or by a kStreamEnd, drops the oldest other one.
+  std::size_t max_streams_kept = 8;
   sim::SimTime idle_timeout = 30 * sim::kSecond;  ///< session GC
 };
 

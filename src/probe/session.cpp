@@ -18,12 +18,14 @@ void ProbeSession::set_drain_timeout(sim::SimTime t) {
   drain_timeout_ = t;
 }
 
-StreamResult ProbeSession::send_stream(const StreamSpec& spec, sim::SimTime start) {
+StreamResult ProbeSession::send_stream(const StreamSpec& spec,
+                                       sim::SimTime lead_in) {
   spec.validate();
-  if (start < sim_.now())
-    throw std::invalid_argument("ProbeSession: start in the past");
+  if (lead_in < 0)
+    throw std::invalid_argument("ProbeSession: negative lead-in");
   if (active_ != nullptr)
     throw std::logic_error("ProbeSession: a stream is already in flight");
+  const sim::SimTime start = sim_.now() + lead_in;
 
   StreamResult result;
   result.stream_id = next_stream_id_++;
@@ -88,11 +90,6 @@ StreamResult ProbeSession::send_stream(const StreamSpec& spec, sim::SimTime star
     trace_->emit(e);
   }
   return result;
-}
-
-StreamResult ProbeSession::send_stream_now(const StreamSpec& spec,
-                                           sim::SimTime lead_in) {
-  return send_stream(spec, sim_.now() + lead_in);
 }
 
 void ProbeSession::send_probe(const Send& s) {

@@ -1,9 +1,10 @@
 // ProbeSession: sender + receiver of probing streams over a simulated
-// path.  This is the substrate every estimation technique in est/ runs
-// on: an estimator asks the session to send a stream and gets back the
-// receiver's measurements, exactly like a real tool's sender/receiver
-// processes cooperating over a network — minus clock skew, which the
-// simulator removes by construction (see DESIGN.md substitutions).
+// path, and the simulated probe::Transport.  This is the substrate every
+// estimation technique in est/ runs on in simulation: an estimator asks
+// the session to send a stream and gets back the receiver's
+// measurements, exactly like a real tool's sender/receiver processes
+// cooperating over a network — minus clock skew, which the simulator
+// removes by construction (see DESIGN.md substitutions).
 #pragma once
 
 #include <cstdint>
@@ -13,6 +14,7 @@
 #include "probe/receiver_state.hpp"
 #include "probe/stream_result.hpp"
 #include "probe/stream_spec.hpp"
+#include "probe/transport.hpp"
 #include "sim/event_line.hpp"
 #include "sim/node.hpp"
 #include "sim/path.hpp"
@@ -20,19 +22,6 @@
 #include "stats/rng.hpp"
 
 namespace abw::probe {
-
-/// Per-session probing totals — the overhead/intrusiveness side of the
-/// paper's latency-vs-accuracy tradeoff.
-struct ProbeCost {
-  std::uint64_t streams = 0;
-  std::uint64_t packets = 0;
-  std::uint64_t bytes = 0;
-  sim::SimTime first_send = 0;
-  sim::SimTime last_activity = 0;
-
-  /// Wall-clock measurement latency so far.
-  sim::SimTime elapsed() const { return last_activity - first_send; }
-};
 
 /// Receiver clock model: real tools never have a synchronized receiver.
 /// OWDs measured against this clock carry a constant offset plus a slow
@@ -52,30 +41,37 @@ struct ReceiverClock {
 /// receive timestamps.  Installs itself as the path receiver via an
 /// internal TypeDemux (exposed so other endpoints, e.g. TCP sinks, can
 /// share the path).
-class ProbeSession {
+class ProbeSession final : public Transport {
  public:
   ProbeSession(sim::Simulator& sim, sim::Path& path);
 
-  ProbeSession(const ProbeSession&) = delete;
-  ProbeSession& operator=(const ProbeSession&) = delete;
-
-  /// Sends one stream starting at `start` (absolute sim time, >= now) and
-  /// runs the simulation until every packet arrived or has been given
+  /// Sends one stream starting `lead_in` after now and runs the
+  /// simulation until every packet arrived or has been given
   /// `drain_timeout` after the last send to arrive (covers queueing and
   /// losses).  A stream still missing packets returns at the last event
   /// at or before that deadline in packet mode, and exactly at the
   /// deadline in hybrid mode, where cross traffic schedules no events.
   /// Returns the receiver's measurements.  Throws std::invalid_argument,
   /// with the session unchanged, for a spec StreamSpec::validate()
-  /// rejects or a start in the past.
-  StreamResult send_stream(const StreamSpec& spec, sim::SimTime start);
+  /// rejects or a negative lead-in.  Repeats the base default: default
+  /// arguments bind to the static type.
+  StreamResult send_stream(const StreamSpec& spec,
+                           sim::SimTime lead_in = sim::kMillisecond) override;
 
-  /// Convenience: sends starting `lead_in` after now.
-  StreamResult send_stream_now(const StreamSpec& spec,
-                               sim::SimTime lead_in = sim::kMillisecond);
+  /// Simulated time.
+  sim::SimTime now() override { return sim_.now(); }
+
+  /// Runs the simulation for `duration`.
+  void wait(sim::SimTime duration) override {
+    sim_.run_until(sim_.now() + duration);
+  }
 
   /// Measurement overhead accumulated so far.
-  const ProbeCost& cost() const { return cost_; }
+  const ProbeCost& cost() const override { return cost_; }
+
+  std::string_view kind() const override { return "sim"; }
+
+  ProbeSession* sim_session() override { return this; }
 
   /// The shared end-host demux (register TCP handlers here if needed).
   sim::TypeDemux& demux() { return demux_; }

@@ -17,12 +17,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "runner/cli.hpp"  // default_jobs() — also re-exported for callers
-#include "runner/thread_pool.hpp"
 
 namespace abw::runner {
 
@@ -54,12 +54,26 @@ struct CellResult {
   std::uint32_t attempts = 0;  ///< total attempts made (>= 1)
 };
 
-/// Executes batches of independent tasks across a fixed-size ThreadPool.
-/// Jobs-count CLI/env parsing lives in runner/cli.hpp.
+namespace detail {
+
+/// Runs `task(i)` for every i in [0, count) on `threads` new threads named
+/// "abw-batch-<n>".  Each thread claims the next unclaimed index from one
+/// atomic counter until the indices run out; returns once all have
+/// joined.  `task` must not throw.  When a thread cannot be started, the
+/// started ones finish the task they hold and the std::system_error
+/// propagates.
+void run_on_threads(std::size_t count, std::size_t threads,
+                    const std::function<void(std::size_t)>& task);
+
+}  // namespace detail
+
+/// Executes batches of independent tasks on up to `jobs` threads that
+/// each map() call starts and joins.  Jobs-count CLI/env parsing lives in
+/// runner/cli.hpp.
 class BatchRunner {
  public:
-  /// `jobs` == 0 means default_jobs().  With jobs == 1 no pool is created
-  /// and `map` degenerates to the plain serial loop.
+  /// `jobs` == 0 means default_jobs().  With jobs == 1 `map` runs the
+  /// plain serial loop on the calling thread.
   explicit BatchRunner(std::size_t jobs = 0);
 
   std::size_t jobs() const { return jobs_; }
@@ -78,19 +92,14 @@ class BatchRunner {
       return results;
     }
     std::vector<std::exception_ptr> errors(count);
-    {
-      ThreadPool pool(jobs_ < count ? jobs_ : count);
-      for (std::size_t i = 0; i < count; ++i) {
-        pool.submit([&, i] {
-          try {
-            results[i] = fn(i);
-          } catch (...) {
-            errors[i] = std::current_exception();
-          }
-        });
+    auto run_one = [&](std::size_t i) {
+      try {
+        results[i] = fn(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
       }
-      pool.wait_idle();
-    }
+    };
+    detail::run_on_threads(count, jobs_ < count ? jobs_ : count, run_one);
     for (auto& e : errors)
       if (e) std::rethrow_exception(e);
     return results;

@@ -1,6 +1,6 @@
 // Portable thread naming, so perf/TSAN/trace output is attributable.
 //
-// The batch runner's pool workers ("abw-batch-N", runner/thread_pool.hpp)
+// The batch runner's worker threads ("abw-batch-N", runner/batch.hpp)
 // are named through this helper.  Naming is best-effort — on platforms
 // without a setname call it is a no-op and never an error.
 #pragma once

@@ -25,12 +25,12 @@ TEST(Api, ProbeCostElapsedSpansFirstToLastActivity) {
   core::SingleHopConfig cfg;
   cfg.model = core::CrossModel::kCbr;
   auto sc = core::Scenario::single_hop(cfg);
-  EXPECT_EQ(sc.session().cost().streams, 0u);
-  sc.session().send_stream_now(probe::StreamSpec::periodic(10e6, 1500, 10));
-  sim::SimTime first = sc.session().cost().first_send;
+  EXPECT_EQ(sc.transport().cost().streams, 0u);
+  sc.transport().send_stream(probe::StreamSpec::periodic(10e6, 1500, 10));
+  sim::SimTime first = sc.transport().cost().first_send;
   sc.simulator().run_until(sc.simulator().now() + kSecond);
-  sc.session().send_stream_now(probe::StreamSpec::periodic(10e6, 1500, 10));
-  const auto& cost = sc.session().cost();
+  sc.transport().send_stream(probe::StreamSpec::periodic(10e6, 1500, 10));
+  const auto& cost = sc.transport().cost();
   EXPECT_EQ(cost.first_send, first);  // unchanged by later streams
   EXPECT_GT(cost.elapsed(), kSecond);
   EXPECT_EQ(cost.streams, 2u);
@@ -79,7 +79,7 @@ TEST(Api, CrossAvailBwNeverBelowTotalAvailBw) {
   core::SingleHopConfig cfg;
   cfg.model = core::CrossModel::kPoisson;
   auto sc = core::Scenario::single_hop(cfg);
-  sc.session().send_stream_now(probe::StreamSpec::periodic(40e6, 1500, 200));
+  sc.transport().send_stream(probe::StreamSpec::periodic(40e6, 1500, 200));
   sim::SimTime now = sc.simulator().now();
   double total = sc.path().avail_bw(now - kSecond, now);
   double cross_only = sc.path().cross_avail_bw(now - kSecond, now);
@@ -141,10 +141,10 @@ TEST(Api, RegistryHonorsRepetitionKnob) {
   cfg.model = core::CrossModel::kCbr;
   auto sc = core::Scenario::single_hop(cfg);
   auto spruce = core::make_estimator("spruce", opts, rng);
-  auto before = sc.session().cost().packets;
+  auto before = sc.transport().cost().packets;
   auto e = spruce->estimate(sc.transport());
   ASSERT_TRUE(e.valid);
-  EXPECT_EQ(sc.session().cost().packets - before, 14u);  // 7 pairs
+  EXPECT_EQ(sc.transport().cost().packets - before, 14u);  // 7 pairs
 }
 
 TEST(Api, RegistryPacketSizeKnob) {
@@ -158,11 +158,11 @@ TEST(Api, RegistryPacketSizeKnob) {
   cfg.model = core::CrossModel::kCbr;
   auto sc = core::Scenario::single_hop(cfg);
   auto direct = core::make_estimator("direct", opts, rng);
-  auto before = sc.session().cost().bytes;
-  auto pkts_before = sc.session().cost().packets;
+  auto before = sc.transport().cost().bytes;
+  auto pkts_before = sc.transport().cost().packets;
   (void)direct->estimate(sc.transport());
-  auto bytes = sc.session().cost().bytes - before;
-  auto pkts = sc.session().cost().packets - pkts_before;
+  auto bytes = sc.transport().cost().bytes - before;
+  auto pkts = sc.transport().cost().packets - pkts_before;
   EXPECT_EQ(bytes, pkts * 700u);
 }
 

@@ -132,7 +132,8 @@ TEST(Experiment, PairSamplesBoundedByCapacity) {
 TEST(Experiment, CaptureStreamReturnsFullOwdSeries) {
   core::SingleHopConfig cfg;
   auto sc = core::Scenario::single_hop(cfg);
-  auto res = core::capture_stream(sc, 27e6, 1500, 160);
+  auto res =
+      sc.transport().send_stream(probe::StreamSpec::periodic(27e6, 1500, 160));
   EXPECT_EQ(res.packets.size(), 160u);
   EXPECT_EQ(res.owds_seconds().size(), 160u - res.lost_count());
 }

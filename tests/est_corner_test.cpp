@@ -106,7 +106,7 @@ TEST(Corner, ProbingAboveCapacityDrainsAtCapacity) {
   core::SingleHopConfig cfg;
   cfg.model = core::CrossModel::kCbr;
   auto sc = core::Scenario::single_hop(cfg);
-  auto res = sc.session().send_stream_now(
+  auto res = sc.transport().send_stream(
       probe::StreamSpec::periodic(80e6, 1500, 200));
   // The stream floods a 50 Mb/s link while CBR cross claims 25: probe
   // share is bounded by C - Rc ... C depending on queue contention.
@@ -209,6 +209,27 @@ TEST(Corner, SequentialEstimatorsShareOneSession) {
   EXPECT_GT(e2.cost.packets, e1.cost.packets);
 }
 
+// Estimator::estimate() stamps the transport's running cost on every
+// result, an abort that sends nothing included: spruce's "budget below
+// one pair" abort reports the stream sent before it.
+TEST(Corner, AbortBeforeAnyStreamStillReportsTransportCost) {
+  core::SingleHopConfig cfg;
+  auto sc = core::Scenario::single_hop(cfg);
+  sc.transport().send_stream(probe::StreamSpec::periodic(10e6, 1500, 10));
+
+  est::SpruceConfig spc;
+  spc.tight_capacity_bps = cfg.capacity_bps;
+  est::Spruce spruce(spc, sc.rng().fork());
+  est::EstimatorLimits limits;
+  limits.max_probe_packets = 1;
+  spruce.set_limits(limits);
+  est::Estimate e = spruce.estimate(sc.transport());
+  EXPECT_FALSE(e.valid);
+  EXPECT_EQ(e.abort, est::AbortReason::kProbeBudgetExhausted);
+  EXPECT_EQ(e.cost.streams, 1u);
+  EXPECT_EQ(e.cost.packets, 10u);
+}
+
 // -------------------------------------------------- tiny-queue regime ---
 
 TEST(Corner, TinyQueueTurnsCongestionIntoLoss) {
@@ -219,7 +240,7 @@ TEST(Corner, TinyQueueTurnsCongestionIntoLoss) {
   cfg.model = core::CrossModel::kCbr;
   cfg.queue_limit_bytes = 6 * 1500;
   auto sc = core::Scenario::single_hop(cfg);
-  auto res = sc.session().send_stream_now(
+  auto res = sc.transport().send_stream(
       probe::StreamSpec::periodic(45e6, 1500, 300));
   EXPECT_GT(res.lost_count(), 0u);
   est::PathloadConfig pc;

@@ -178,8 +178,8 @@ TEST(ClockNoise, QuantizationRoundsTimestamps) {
   auto sc = core::Scenario::single_hop(cfg);
   probe::ReceiverClock clock;
   clock.quantization = 10 * sim::kMicrosecond;
-  sc.session().set_receiver_clock(clock);
-  auto res = sc.session().send_stream_now(probe::StreamSpec::periodic(20e6, 1500, 50));
+  sc.transport().set_receiver_clock(clock);
+  auto res = sc.transport().send_stream(probe::StreamSpec::periodic(20e6, 1500, 50));
   for (const auto& p : res.packets) {
     if (p.lost) continue;
     EXPECT_EQ(p.received % (10 * sim::kMicrosecond), 0);
@@ -194,8 +194,8 @@ TEST(ClockNoise, JitterWidensOwdSpreadButTrendSurvives) {
     auto sc = core::Scenario::single_hop(cfg);
     probe::ReceiverClock clock;
     clock.jitter_std_seconds = jitter;
-    sc.session().set_receiver_clock(clock);
-    auto res = sc.session().send_stream_now(
+    sc.transport().set_receiver_clock(clock);
+    auto res = sc.transport().send_stream(
         probe::StreamSpec::periodic(rate, 1500, 200));
     return std::make_pair(stats::stddev(res.owds_seconds()),
                           stats::combined_trend(res.owds_seconds()));
@@ -224,7 +224,7 @@ TEST(ClockNoise, PathloadRobustToRealisticNoise) {
   clock.drift_ppm = 50.0;
   clock.quantization = sim::kMicrosecond;
   clock.jitter_std_seconds = 20e-6;
-  sc.session().set_receiver_clock(clock);
+  sc.transport().set_receiver_clock(clock);
 
   est::PathloadConfig pc;
   pc.min_rate_bps = 2e6;

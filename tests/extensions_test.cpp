@@ -169,7 +169,7 @@ TEST(LinkLoss, ProbeStreamsReportLosses) {
   sim::Path path(simu, {cfg});
   probe::ProbeSession session(simu, path);
   session.set_drain_timeout(200 * kMillisecond);
-  auto res = session.send_stream_now(probe::StreamSpec::periodic(20e6, 1500, 400));
+  auto res = session.send_stream(probe::StreamSpec::periodic(20e6, 1500, 400));
   EXPECT_GT(res.lost_count(), 0u);
   EXPECT_LT(res.lost_count(), 100u);  // ~20 expected
   EXPECT_GT(res.output_rate_bps(), 0.0);
@@ -210,9 +210,9 @@ TEST(ReceiverClock, ConstantOffsetInflatesOwdsNotTrends) {
   auto sc = core::Scenario::single_hop(cfg);
   probe::ReceiverClock clock;
   clock.offset = 500 * kMillisecond;  // half a second of clock error
-  sc.session().set_receiver_clock(clock);
+  sc.transport().set_receiver_clock(clock);
 
-  auto res = sc.session().send_stream_now(probe::StreamSpec::periodic(20e6, 1500, 100));
+  auto res = sc.transport().send_stream(probe::StreamSpec::periodic(20e6, 1500, 100));
   auto owds = res.owds_seconds();
   EXPECT_GT(owds.front(), 0.5);  // absolute OWDs absorb the offset...
   auto rel = res.relative_owds_ms();
@@ -228,12 +228,12 @@ TEST(ReceiverClock, DriftIsNegligibleWithinOneStream) {
   auto sc = core::Scenario::single_hop(cfg);
   probe::ReceiverClock clock;
   clock.drift_ppm = 100.0;
-  sc.session().set_receiver_clock(clock);
+  sc.transport().set_receiver_clock(clock);
 
-  auto below = sc.session().send_stream_now(probe::StreamSpec::periodic(20e6, 1500, 150));
+  auto below = sc.transport().send_stream(probe::StreamSpec::periodic(20e6, 1500, 150));
   EXPECT_NE(stats::combined_trend(below.owds_seconds()),
             stats::Trend::kIncreasing);
-  auto above = sc.session().send_stream_now(probe::StreamSpec::periodic(40e6, 1500, 150));
+  auto above = sc.transport().send_stream(probe::StreamSpec::periodic(40e6, 1500, 150));
   EXPECT_EQ(stats::combined_trend(above.owds_seconds()),
             stats::Trend::kIncreasing);
 }
@@ -246,11 +246,11 @@ TEST(ReceiverClock, DriftAccumulatesAcrossStreamsAndDetrends) {
   auto sc = core::Scenario::single_hop(cfg);
   probe::ReceiverClock clock;
   clock.drift_ppm = 200.0;
-  sc.session().set_receiver_clock(clock);
+  sc.transport().set_receiver_clock(clock);
 
   std::vector<double> baselines;
   for (int i = 0; i < 40; ++i) {
-    auto res = sc.session().send_stream_now(
+    auto res = sc.transport().send_stream(
         probe::StreamSpec::periodic(10e6, 1500, 20), 100 * kMillisecond);
     auto owds = res.owds_seconds();
     if (!owds.empty()) baselines.push_back(stats::median(owds));

@@ -14,7 +14,6 @@
 #include "core/registry.hpp"
 #include "est/estimator.hpp"
 #include "probe/session.hpp"
-#include "probe/transport.hpp"
 #include "runner/batch.hpp"
 #include "sim/fault.hpp"
 #include "sim/link.hpp"
@@ -95,8 +94,7 @@ CellOutcome run_cell(const std::string& tool, std::uint64_t seed) {
   opt.limits.deadline = 45 * kSecond;
   auto est = core::make_estimator(tool, opt, rng);
 
-  probe::SimTransport transport(session);
-  est::Estimate e = est->estimate(transport);
+  est::Estimate e = est->estimate(session);
 
   CellOutcome out;
   out.valid = e.valid;

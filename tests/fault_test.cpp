@@ -355,7 +355,7 @@ TEST(ProbeAccounting, StreamResultCountsImpairments) {
   sc.path().link(0).set_faults(faults);
 
   probe::StreamSpec spec = probe::StreamSpec::periodic(10e6, 1000, 500);
-  probe::StreamResult res = sc.session().send_stream_now(spec);
+  probe::StreamResult res = sc.transport().send_stream(spec);
 
   EXPECT_GT(res.duplicate_count, 0u);
   EXPECT_GT(res.reordered_count, 0u);
@@ -407,7 +407,7 @@ TEST(ProbeAccounting, CleanStreamIsUnimpaired) {
   cfg.cross_rate_bps = 5e6;
   core::Scenario sc = core::Scenario::single_hop(cfg);
   probe::StreamSpec spec = probe::StreamSpec::periodic(10e6, 1000, 200);
-  probe::StreamResult res = sc.session().send_stream_now(spec);
+  probe::StreamResult res = sc.transport().send_stream(spec);
   EXPECT_EQ(res.duplicate_count, 0u);
   EXPECT_EQ(res.reordered_count, 0u);
   EXPECT_FALSE(res.impaired());
@@ -454,7 +454,7 @@ TEST(EstimatorLimits, EveryToolAbortsStructurallyUnderBlackout) {
     cfg.cross_rate_bps = 10e6;
     core::Scenario sc = core::Scenario::single_hop(cfg);
     sc.path().link(0).set_faults(blackout());
-    sc.session().set_drain_timeout(200 * kMillisecond);  // all-lost streams
+    sc.transport().set_drain_timeout(200 * kMillisecond);  // all-lost streams
 
     core::ToolOptions opt;
     opt.tight_capacity_bps = cfg.capacity_bps;
@@ -499,7 +499,7 @@ TEST(EstimatorLimits, DegenerateStreamsNeverCrashTools) {
       cfg.seed = 100 + r;
       core::Scenario sc = core::Scenario::single_hop(cfg);
       sc.path().link(0).set_faults(regimes[r]);
-      sc.session().set_drain_timeout(200 * kMillisecond);
+      sc.transport().set_drain_timeout(200 * kMillisecond);
 
       core::ToolOptions opt;
       opt.tight_capacity_bps = cfg.capacity_bps;

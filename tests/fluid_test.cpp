@@ -446,7 +446,7 @@ TEST(HybridScenario, ProbedAgreementSweep) {
         double sum = 0.0;
         std::size_t n = 0;
         for (int s = 0; s < 10; ++s) {
-          probe::StreamResult r = sc.session().send_stream_now(spec);
+          probe::StreamResult r = sc.transport().send_stream(spec);
           for (const auto& p : r.packets) {
             if (p.lost) continue;
             sum += sim::to_seconds(p.received - p.sent);
@@ -479,7 +479,7 @@ TEST(HybridScenario, MultiHopProbedAgreement) {
     auto sc = core::Scenario::multi_hop(mc);
     probe::StreamSpec spec = probe::StreamSpec::periodic(10e6, 1000, 20);
     for (int s = 0; s < 5; ++s) {
-      sc.session().send_stream_now(spec);
+      sc.transport().send_stream(spec);
       sc.simulator().run_until(sc.simulator().now() + 300 * kMillisecond);
     }
     truth[mi++] = sc.ground_truth(2 * kSecond, sc.simulator().now());
@@ -535,7 +535,7 @@ TEST(HybridScenario, ProbeCostsTwoEventsAtAnyLoad) {
     std::uint64_t probes = 0;
     for (int s = 0; s < 20; ++s) {
       probe::StreamSpec spec = probe::StreamSpec::periodic(30e6, 1500, 50);
-      probe::StreamResult r = sc.session().send_stream_now(spec);
+      probe::StreamResult r = sc.transport().send_stream(spec);
       ASSERT_EQ(r.lost_count(), 0u);
       probes += r.packets.size();
     }
@@ -569,7 +569,7 @@ TEST(HybridScenario, SourceDrawsAtMostOnePullAhead) {
   ASSERT_GT(st.packets_in, 1000u);
   EXPECT_LE(raw->packets_sent() - st.packets_in, kOnePull);
 
-  probe::StreamResult r = sc.session().send_stream_now(
+  probe::StreamResult r = sc.transport().send_stream(
       probe::StreamSpec::periodic(30e6, 1500, 50));
   ASSERT_EQ(r.lost_count(), 0u);
   sc.ground_truth(0, sc.simulator().now());
@@ -589,7 +589,7 @@ TEST(HybridScenario, LossyStreamEndsAtItsDeadline) {
         hybrid_cfg(core::CrossModel::kPoisson, 0.5, mode);
     cfg.queue_limit_bytes = 12 * 1024;
     core::Scenario sc = core::Scenario::single_hop(cfg);
-    sc.session().set_drain_timeout(100 * kMillisecond);
+    sc.transport().set_drain_timeout(100 * kMillisecond);
     return sc;
   };
   core::Scenario pkt = make(sim::SimMode::kPacket);
@@ -600,8 +600,8 @@ TEST(HybridScenario, LossyStreamEndsAtItsDeadline) {
         probe::StreamSpec::periodic(10e6 + 2e6 * s, 1500, 60);
     const SimTime start = hyb.simulator().now() + kMillisecond;
     ASSERT_EQ(pkt.simulator().now() + kMillisecond, start) << "stream " << s;
-    probe::StreamResult rp = pkt.session().send_stream(spec, start);
-    probe::StreamResult rh = hyb.session().send_stream(spec, start);
+    probe::StreamResult rp = pkt.transport().send_stream(spec, kMillisecond);
+    probe::StreamResult rh = hyb.transport().send_stream(spec, kMillisecond);
     ASSERT_EQ(rh.packets.size(), rp.packets.size());
     for (std::size_t i = 0; i < rp.packets.size(); ++i) {
       EXPECT_EQ(rh.packets[i].received, rp.packets[i].received)
@@ -663,7 +663,7 @@ ProbedRun run_probed(core::Scenario sc) {
         for (std::size_t h = 0; h < path.hop_count(); ++h)
           out.delays.push_back(path.link(h).current_delay());
       });
-    probe::StreamResult r = sc.session().send_stream(spec, start);
+    probe::StreamResult r = sc.transport().send_stream(spec, start - sim.now());
     for (const probe::ProbeRecord& p : r.packets) {
       out.sent.push_back(p.sent);
       out.received.push_back(p.received);
@@ -732,7 +732,7 @@ TEST(HybridScenario, DeterministicAcrossRuns) {
     probe::StreamSpec spec = probe::StreamSpec::periodic(20e6, 1200, 30);
     std::uint64_t got = 0;
     for (int s = 0; s < 5; ++s) {
-      probe::StreamResult r = sc.session().send_stream_now(spec);
+      probe::StreamResult r = sc.transport().send_stream(spec);
       got += r.packets.size() - r.lost_count();
       sc.simulator().run_until(sc.simulator().now() + 100 * kMillisecond);
     }

@@ -69,8 +69,7 @@ std::uint64_t digest_probed_single_hop(core::Scenario& sc) {
   for (int k = 0; k < 12; ++k) {
     double rate = 10e6 + 3e6 * k;  // sweep across under- and overload
     auto spec = probe::StreamSpec::periodic(rate, 1500, 60);
-    auto res = sc.session().send_stream(spec, sc.simulator().now() +
-                                                  sim::kMillisecond);
+    auto res = sc.transport().send_stream(spec, sim::kMillisecond);
     d.u64(res.stream_id);
     for (const auto& p : res.packets) {
       d.u64(p.seq);
@@ -142,8 +141,7 @@ std::uint64_t run_multi_hop() {
   Digest d;
   for (int k = 0; k < 6; ++k) {
     auto spec = probe::StreamSpec::periodic(15e6 + 4e6 * k, 1500, 50);
-    auto res = sc.session().send_stream(spec, sc.simulator().now() +
-                                                  sim::kMillisecond);
+    auto res = sc.transport().send_stream(spec, sim::kMillisecond);
     for (const auto& p : res.packets) {
       d.u64(static_cast<std::uint64_t>(p.sent));
       d.u64(static_cast<std::uint64_t>(p.received));

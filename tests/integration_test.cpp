@@ -99,7 +99,7 @@ TEST(AllTools, CostAccountingIsMonotone) {
   est::SpruceConfig spc;
   spc.tight_capacity_bps = cfg.capacity_bps;
   est::Spruce spruce(spc, sc.rng().fork());
-  auto before = sc.session().cost().packets;
+  auto before = sc.transport().cost().packets;
   auto e = spruce.estimate(sc.transport());
   ASSERT_TRUE(e.valid);
   EXPECT_EQ(e.cost.packets - before, 200u);  // 100 pairs

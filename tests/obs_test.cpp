@@ -275,14 +275,15 @@ TracedProbeRun run_traced_probes(sim::SimMode mode, bool traced) {
   cfg.seed = 17;
   ProbeEventSink sink;  // outlives the scenario that points at it
   core::Scenario sc = core::Scenario::single_hop(cfg);
-  sc.session().set_drain_timeout(100 * sim::kMillisecond);
+  sc.transport().set_drain_timeout(100 * sim::kMillisecond);
   if (traced) sc.set_trace(&sink);
   TracedProbeRun run;
   for (int k = 0; k < 8; ++k) {
     probe::StreamSpec spec =
         probe::StreamSpec::periodic(10e6 + 6e6 * k, k % 2 ? 1500 : 700, 60);
-    probe::StreamResult r = sc.session().send_stream(
-        spec, cfg.warmup + k * 300 * sim::kMillisecond);
+    const sim::SimTime start = cfg.warmup + k * 300 * sim::kMillisecond;
+    probe::StreamResult r =
+        sc.transport().send_stream(spec, start - sc.transport().now());
     for (const probe::ProbeRecord& p : r.packets)
       run.received.push_back(p.lost ? -1 : p.received);
   }
@@ -362,8 +363,8 @@ TEST(MetricsSnapshot, MatchesLinkStatsAndSessionCost) {
   EXPECT_EQ(m.counter("link.link0.packets_out").value, s.packets_out);
   EXPECT_EQ(m.counter("link.link0.bytes_out").value, s.bytes_out);
   EXPECT_EQ(m.gauge("link.link0.capacity_bps").value, cfg.capacity_bps);
-  EXPECT_EQ(m.counter("session.streams").value, sc.session().cost().streams);
-  EXPECT_EQ(m.counter("session.packets").value, sc.session().cost().packets);
+  EXPECT_EQ(m.counter("session.streams").value, sc.transport().cost().streams);
+  EXPECT_EQ(m.counter("session.packets").value, sc.transport().cost().packets);
   EXPECT_EQ(m.counter("sim.events").value,
             sc.simulator().events_processed());
 }

@@ -117,7 +117,7 @@ TEST(StreamResultReorder, FaultInjectedReorderingStillYieldsARate) {
   faults.reorder_extra_max = 2 * kMillisecond;
   sc.path().link(0).set_faults(faults);
 
-  auto res = sc.session().send_stream_now(
+  auto res = sc.transport().send_stream(
       probe::StreamSpec::periodic(30e6, 1200, 100));
   ASSERT_GT(res.reordered_count, 0u);  // p=0.5 over 100 packets
   EXPECT_GT(res.output_rate_bps(), 0.0);
@@ -191,7 +191,7 @@ TEST(StreamResultProperty, FaultInjectedScenarioStreamsHoldInvariants) {
   sc.path().link(0).set_faults(faults);
 
   for (double rate : {10e6, 30e6, 60e6, 90e6}) {
-    auto res = sc.session().send_stream_now(
+    auto res = sc.transport().send_stream(
         probe::StreamSpec::periodic(rate, 1200, 80));
     check_invariants(res);
   }
@@ -416,10 +416,10 @@ TEST(AdaptiveProber, StepStopsBeforeBustingTheBudget) {
   prober.set_limits(lim);
   EXPECT_NE(prober.step(sc.transport()), online::FeedResult::kExhausted);
   EXPECT_NE(prober.step(sc.transport()), online::FeedResult::kExhausted);
-  std::uint64_t sent_before = sc.session().cost().packets;
+  std::uint64_t sent_before = sc.transport().cost().packets;
   // 120 consumed; a third stream would reach 180 > 150: nothing sent.
   EXPECT_EQ(prober.step(sc.transport()), online::FeedResult::kExhausted);
-  EXPECT_EQ(sc.session().cost().packets, sent_before);
+  EXPECT_EQ(sc.transport().cost().packets, sent_before);
   EXPECT_EQ(prober.abort(), est::AbortReason::kProbeBudgetExhausted);
   EXPECT_EQ(prober.step(sc.transport()), online::FeedResult::kExhausted);
 }

@@ -154,7 +154,7 @@ struct SessionFixture {
 
 TEST(Session, IdlePathDeliversAtLineRate) {
   SessionFixture f;
-  auto res = f.session.send_stream_now(probe::StreamSpec::periodic(40e6, 1500, 50));
+  auto res = f.session.send_stream(probe::StreamSpec::periodic(40e6, 1500, 50));
   EXPECT_TRUE(res.complete());
   EXPECT_NEAR(res.input_rate_bps(), 40e6, 40e6 * 0.01);
   // No cross traffic: output rate equals input rate.
@@ -167,8 +167,8 @@ TEST(Session, IdlePathDeliversAtLineRate) {
 
 TEST(Session, CostAccumulates) {
   SessionFixture f;
-  f.session.send_stream_now(probe::StreamSpec::periodic(10e6, 1500, 10));
-  f.session.send_stream_now(probe::StreamSpec::periodic(10e6, 1500, 10));
+  f.session.send_stream(probe::StreamSpec::periodic(10e6, 1500, 10));
+  f.session.send_stream(probe::StreamSpec::periodic(10e6, 1500, 10));
   EXPECT_EQ(f.session.cost().streams, 2u);
   EXPECT_EQ(f.session.cost().packets, 20u);
   EXPECT_EQ(f.session.cost().bytes, 20u * 1500u);
@@ -185,7 +185,7 @@ TEST(Session, LostPacketsMarkedLost) {
   sim::Path path(simu, {cfg});
   probe::ProbeSession session(simu, path);
   session.set_drain_timeout(200 * kMillisecond);
-  auto res = session.send_stream_now(probe::StreamSpec::periodic(200e6, 1500, 50));
+  auto res = session.send_stream(probe::StreamSpec::periodic(200e6, 1500, 50));
   EXPECT_GT(res.lost_count(), 0u);
   EXPECT_LT(res.lost_count(), 50u);
 }
@@ -193,10 +193,12 @@ TEST(Session, LostPacketsMarkedLost) {
 TEST(Session, RejectsEmptyAndPastStreams) {
   SessionFixture f;
   probe::StreamSpec empty;
-  EXPECT_THROW(f.session.send_stream(empty, 0), std::invalid_argument);
+  EXPECT_THROW(f.session.send_stream(empty), std::invalid_argument);
   f.simu.run_until(kSecond);
   auto spec = probe::StreamSpec::periodic(1e6, 100, 2);
-  EXPECT_THROW(f.session.send_stream(spec, 0), std::invalid_argument);
+  // A start in the past is a negative lead-in.
+  EXPECT_THROW(f.session.send_stream(spec, -kSecond), std::invalid_argument);
+  EXPECT_EQ(f.session.cost().streams, 0u);
 }
 
 // A spec or setting the session rejects must leave it exactly as it was:
@@ -225,9 +227,9 @@ void expect_rejected_cleanly(
   cfg.seed = 31;
   core::Scenario sc = core::Scenario::single_hop(cfg);
   core::Scenario twin = core::Scenario::single_hop(cfg);
-  const probe::ProbeCost before = sc.session().cost();
+  const probe::ProbeCost before = sc.transport().cost();
   EXPECT_THROW(bad(sc), std::invalid_argument);
-  const probe::ProbeCost& after = sc.session().cost();
+  const probe::ProbeCost& after = sc.transport().cost();
   EXPECT_EQ(after.streams, before.streams);
   EXPECT_EQ(after.packets, before.packets);
   EXPECT_EQ(after.bytes, before.bytes);
@@ -235,10 +237,9 @@ void expect_rejected_cleanly(
   EXPECT_EQ(after.last_activity, before.last_activity);
 
   const auto spec = probe::StreamSpec::periodic(30e6, 1500, 60);
-  const sim::SimTime start = sc.simulator().now() + kMillisecond;
-  ASSERT_EQ(start, twin.simulator().now() + kMillisecond);
-  expect_same_result(sc.session().send_stream(spec, start),
-                     twin.session().send_stream(spec, start));
+  ASSERT_EQ(sc.simulator().now(), twin.simulator().now());
+  expect_same_result(sc.transport().send_stream(spec),
+                     twin.transport().send_stream(spec));
   EXPECT_EQ(sc.simulator().now(), twin.simulator().now());
   EXPECT_EQ(sc.simulator().events_processed(), twin.simulator().events_processed());
 }
@@ -251,7 +252,7 @@ TEST(Session, BadStreamInputsLeaveNoStrandedSends) {
   };
   auto send = [](probe::StreamSpec spec) {
     return [spec](core::Scenario& sc) {
-      sc.session().send_stream(spec, sc.simulator().now() + kMillisecond);
+      sc.transport().send_stream(spec);
     };
   };
   expect_rejected_cleanly(
@@ -264,7 +265,7 @@ TEST(Session, BadStreamInputsLeaveNoStrandedSends) {
       send(spec_of({0, 2 * kMillisecond, kMillisecond})));
   expect_rejected_cleanly("empty stream", send(probe::StreamSpec{}));
   expect_rejected_cleanly("negative drain timeout", [](core::Scenario& sc) {
-    sc.session().set_drain_timeout(-kMillisecond);
+    sc.transport().set_drain_timeout(-kMillisecond);
   });
 }
 
@@ -291,7 +292,7 @@ TEST(Session, LongStreamKeepsTheEventHeapSmall) {
     cfg.mode = mode;
     core::Scenario sc = core::Scenario::single_hop(cfg);
     const auto res =
-        sc.session().send_stream_now(probe::StreamSpec::periodic(20e6, 1500, 1000));
+        sc.transport().send_stream(probe::StreamSpec::periodic(20e6, 1500, 1000));
     EXPECT_EQ(res.lost_count(), 0u);
     EXPECT_LE(sc.simulator().peak_event_count(), 16u)
         << (mode == sim::SimMode::kPacket ? "packet" : "hybrid") << " mode";
@@ -323,7 +324,7 @@ TEST_P(FluidModel, EquationsSevenAndEight) {
   cross.start(0, 60 * kSecond);
   simu.run_until(kSecond);
 
-  auto res = session.send_stream_now(probe::StreamSpec::periodic(ri, 1500, 400));
+  auto res = session.send_stream(probe::StreamSpec::periodic(ri, 1500, 400));
   ASSERT_TRUE(res.complete());
 
   if (ri > a) {
@@ -368,7 +369,7 @@ TEST(FluidModel, EquationSixQueueGrowth) {
   std::size_t backlog_after = 0;
   simu.at(simu.now() + kMillisecond + spec.packets.back().offset,
           [&] { backlog_after = path.link(0).backlog_bytes(); });
-  session.send_stream(spec, simu.now() + kMillisecond);
+  session.send_stream(spec);
 
   // Eq. 6: q grows by L * (Ri - A) / Ri per interarrival, so after N
   // packets: q ~ N * 1500 * (40-25)/40 = N * 562.5 B.

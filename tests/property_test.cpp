@@ -145,7 +145,7 @@ TEST_P(FluidCascade, OutputRateFollowsPerHopEquationEight) {
   }
   simu.run_until(kSecond);
 
-  auto res = session.send_stream_now(probe::StreamSpec::periodic(ri, 1500, 300));
+  auto res = session.send_stream(probe::StreamSpec::periodic(ri, 1500, 300));
   ASSERT_TRUE(res.complete());
 
   double predicted = ri;

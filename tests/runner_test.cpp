@@ -1,13 +1,15 @@
-// Tests for the parallel batch experiment runner: ThreadPool execution,
-// deterministic seed derivation, submission-order aggregation, exception
-// transport, and the headline guarantee — BatchRunner output is
-// bit-identical to the serial run for every thread count.
+// Tests for the parallel batch experiment runner: deterministic seed
+// derivation, each task run once on at most `jobs` threads,
+// submission-order aggregation, exception transport, and the headline
+// guarantee — BatchRunner output is bit-identical to the serial run for
+// every thread count.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <bit>
 #include <chrono>
 #include <cstdlib>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -18,56 +20,11 @@
 #include "core/scenario.hpp"
 #include "runner/batch.hpp"
 #include "runner/cli.hpp"
-#include "runner/thread_pool.hpp"
 
 namespace {
 
 using namespace abw;
 using runner::BatchRunner;
-using runner::ThreadPool;
-
-// -------------------------------------------------------- thread pool ---
-
-TEST(ThreadPool, RunsEveryJob) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.thread_count(), 4u);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 100; ++i)
-    pool.submit([&] { done.fetch_add(1, std::memory_order_relaxed); });
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleBlocksUntilSlowJobsFinish) {
-  ThreadPool pool(2);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 6; ++i)
-    pool.submit([&] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      done.fetch_add(1, std::memory_order_relaxed);
-    });
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 6);  // no sleeping job may be outstanding
-}
-
-TEST(ThreadPool, ZeroThreadRequestStillWorks) {
-  ThreadPool pool(0);  // clamped to 1 worker
-  EXPECT_EQ(pool.thread_count(), 1u);
-  std::atomic<int> done{0};
-  pool.submit([&] { ++done; });
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 1);
-}
-
-TEST(ThreadPool, DestructorDrainsQueue) {
-  std::atomic<int> done{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 20; ++i)
-      pool.submit([&] { done.fetch_add(1, std::memory_order_relaxed); });
-  }  // destructor must run the backlog, not drop it
-  EXPECT_EQ(done.load(), 20);
-}
 
 // ---------------------------------------------------- seed derivation ---
 
@@ -101,6 +58,24 @@ TEST(BatchRunnerTest, ResultsArriveInSubmissionOrder) {
   });
   ASSERT_EQ(out.size(), 32u);
   for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
+}
+
+TEST(BatchRunnerTest, EveryTaskRunsOnceOnAtMostJobsThreads) {
+  BatchRunner batch(3);
+  std::vector<std::atomic<int>> runs(200);
+  std::mutex mu;
+  std::set<std::thread::id> threads;
+  batch.map(runs.size(), [&](std::size_t i) {
+    runs[i].fetch_add(1, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mu);
+    threads.insert(std::this_thread::get_id());
+    return 0;
+  });
+  for (std::size_t i = 0; i < runs.size(); ++i)
+    EXPECT_EQ(runs[i].load(), 1) << "task " << i;
+  EXPECT_GE(threads.size(), 1u);
+  EXPECT_LE(threads.size(), 3u);
+  EXPECT_EQ(threads.count(std::this_thread::get_id()), 0u);
 }
 
 TEST(BatchRunnerTest, EmptyAndSingleBatches) {

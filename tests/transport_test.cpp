@@ -2,22 +2,28 @@
 //
 //  * probe::ReceiverState — the ONE dedup/reorder accounting shared by
 //    ProbeSession and the live daemon.
-//  * SimTransport bit-identity: every tool run through the scenario's
-//    Transport must produce byte-identical results (Estimate::to_json)
-//    to a SimTransport built locally over the scenario's ProbeSession.
+//  * ProbeSession as the simulated Transport: the default lead-in, the
+//    clock and the sim_session() escape hatch.
 //  * The wire protocol (net/wire.hpp) round-trips.
 //  * Live UDP loopback: capacity, spruce, and pathload end-to-end
 //    against an in-process abwd daemon; an all-9-tool sweep asserting
 //    valid-or-structured termination; daemon multiplexing of many
 //    concurrent sessions with no cross-session bleed; admission
-//    rejection beyond max_sessions; and the graceful kDeadline abort
-//    when the peer goes silent.
+//    rejection beyond max_sessions; the graceful kDeadline abort when
+//    the peer goes silent; sessions bound to the peer that opened them;
+//    and the per-session stream cap under kStreamEnd for unseen streams.
 //
 // Every socket-touching test skips itself (GTEST_SKIP) when the
 // environment cannot bind a loopback UDP socket.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -97,7 +103,7 @@ TEST(ReceiverState, OutOfRangeSeqIgnored) {
 }
 
 // ---------------------------------------------------------------------------
-// SimTransport bit-identity: scenario transport == local SimTransport
+// ProbeSession as the simulated Transport
 
 namespace {
 
@@ -107,47 +113,7 @@ core::Scenario twin_scenario() {
   return core::Scenario::single_hop(cfg);
 }
 
-core::ToolOptions twin_options() {
-  core::ToolOptions o;
-  o.tight_capacity_bps = 50e6;
-  o.min_rate_bps = 2e6;
-  o.max_rate_bps = 49e6;
-  return o;
-}
-
 }  // namespace
-
-TEST(SimTransportIdentity, EveryToolBitIdenticalToSessionPath) {
-  for (const std::string& name : core::available_tools()) {
-    core::Scenario sc_session = twin_scenario();
-    core::Scenario sc_transport = twin_scenario();
-    stats::Rng rng_a(99), rng_b(99);
-    auto tool_a = core::make_estimator(name, twin_options(), rng_a);
-    auto tool_b = core::make_estimator(name, twin_options(), rng_b);
-
-    // Reference path: a SimTransport built locally over the session.
-    probe::SimTransport local(sc_session.session());
-    est::Estimate via_session = tool_a->estimate(local);
-    // Scenario path: the lazily built Scenario::transport().
-    est::Estimate via_transport = tool_b->estimate(sc_transport.transport());
-
-    EXPECT_EQ(via_session.to_json(), via_transport.to_json())
-        << "tool " << name << " diverged between session and transport paths";
-  }
-}
-
-TEST(SimTransportIdentity, CapacityEstimatorBitIdentical) {
-  core::Scenario sc_a = twin_scenario();
-  core::Scenario sc_b = twin_scenario();
-  est::CapacityConfig cfg;
-  cfg.pair_count = 60;
-  est::CapacityEstimator cap_a(cfg, stats::Rng(7));
-  est::CapacityEstimator cap_b(cfg, stats::Rng(7));
-  probe::SimTransport local(sc_a.session());
-  double via_session = cap_a.estimate_capacity(local);
-  double via_transport = cap_b.estimate_capacity(sc_b.transport());
-  EXPECT_EQ(via_session, via_transport);
-}
 
 // Default arguments bind to the static type: each transport repeats the
 // base's lead-in default, so a one-argument call compiles through the
@@ -156,12 +122,12 @@ template <typename T>
 concept SendsWithDefaultLeadIn = requires(T& t, const probe::StreamSpec& s) {
   t.send_stream(s);
 };
-static_assert(SendsWithDefaultLeadIn<probe::SimTransport>);
+static_assert(SendsWithDefaultLeadIn<probe::ProbeSession>);
 static_assert(SendsWithDefaultLeadIn<net::UdpTransport>);
 
-// Scenario::transport() returns SimTransport&, so a one-argument call
-// binds to SimTransport's own default lead-in, which must be the base's.
-TEST(SimTransport, DefaultLeadInMatchesExplicitMillisecond) {
+// Scenario::transport() returns ProbeSession&, so a one-argument call
+// binds to ProbeSession's own default lead-in, which must be the base's.
+TEST(ProbeSessionTransport, DefaultLeadInMatchesExplicitMillisecond) {
   core::Scenario sc_default = twin_scenario();
   core::Scenario sc_explicit = twin_scenario();
   const probe::StreamSpec spec = probe::StreamSpec::periodic(20e6, 1500, 40);
@@ -177,11 +143,11 @@ TEST(SimTransport, DefaultLeadInMatchesExplicitMillisecond) {
   EXPECT_EQ(sc_default.simulator().now(), sc_explicit.simulator().now());
 }
 
-TEST(SimTransport, ExposesSessionAndClock) {
+TEST(ProbeSessionTransport, ExposesSessionAndClock) {
   core::Scenario sc = twin_scenario();
-  probe::SimTransport& t = sc.transport();
+  probe::Transport& t = sc.transport();
   EXPECT_EQ(t.kind(), "sim");
-  EXPECT_EQ(t.sim_session(), &sc.session());
+  EXPECT_EQ(t.sim_session(), &sc.transport());
   sim::SimTime before = t.now();
   t.wait(5 * sim::kMillisecond);
   EXPECT_EQ(t.now(), before + 5 * sim::kMillisecond);
@@ -535,4 +501,115 @@ TEST(UdpLoopback, DaemonExportsObsTraceAndMetrics) {
   EXPECT_EQ(m.counter("abwd.reports_sent").value, 1u);
   daemon->set_trace(nullptr);
   EXPECT_GE(sink.events(), 2u);  // hello + report at minimum
+}
+
+// ---------------------------------------------------------------------------
+// Hostile datagrams, sent from a bare socket
+
+namespace {
+
+// An ABW1 sender on its own UDP socket, for datagrams no UdpTransport
+// sends: another host's kBye, a flood of kStreamEnd for unseen streams.
+class RawClient {
+ public:
+  explicit RawClient(std::uint16_t daemon_port) {
+    fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
+    timeval tv{0, 500000};  // receive() gives up after 0.5 s
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    daemon_.sin_family = AF_INET;
+    daemon_.sin_port = htons(daemon_port);
+    ::inet_pton(AF_INET, "127.0.0.1", &daemon_.sin_addr);
+  }
+  ~RawClient() { ::close(fd_); }
+  RawClient(const RawClient&) = delete;
+  RawClient& operator=(const RawClient&) = delete;
+
+  void send(net::MsgType type, std::uint64_t session_id,
+            std::uint32_t stream_id = 0, std::uint32_t seq = 0,
+            std::uint32_t count = 0) {
+    net::WireHeader h;
+    h.type = static_cast<std::uint8_t>(type);
+    h.session_id = session_id;
+    h.stream_id = stream_id;
+    h.seq = seq;
+    h.count = count;
+    unsigned char buf[net::kHeaderSize];
+    net::encode_header(h, buf);
+    ::sendto(fd_, buf, sizeof(buf), 0,
+             reinterpret_cast<const sockaddr*>(&daemon_), sizeof(daemon_));
+  }
+
+  // The next reply's header; false after the receive timeout.
+  bool receive(net::WireHeader* h) {
+    std::vector<unsigned char> buf(net::kMaxDatagram);
+    ssize_t n = ::recv(fd_, buf.data(), buf.size(), 0);
+    return n > 0 &&
+           net::decode_header(buf.data(), static_cast<std::size_t>(n), h);
+  }
+
+ private:
+  int fd_ = -1;
+  sockaddr_in daemon_{};
+};
+
+}  // namespace
+
+// A session id names a session only to the address and port that opened
+// it: another socket can neither close it nor read its reports.
+TEST(UdpLoopback, SessionIsBoundToItsPeer) {
+  auto daemon = try_daemon();
+  REQUIRE_SOCKETS(daemon);
+  net::UdpTransport victim(client_config(*daemon));
+  const probe::StreamSpec spec = probe::StreamSpec::periodic(5e6, 300, 10);
+  ASSERT_EQ(victim.send_stream(spec).lost_count(), 0u);
+
+  RawClient stranger(daemon->port());
+  stranger.send(net::MsgType::kStreamEnd, victim.session_id(), 1, 0, 10);
+  net::WireHeader reply;
+  ASSERT_TRUE(stranger.receive(&reply));
+  EXPECT_EQ(reply.type, static_cast<std::uint8_t>(net::MsgType::kAbort))
+      << "the victim's report went to another socket";
+  EXPECT_EQ(reply.aux,
+            static_cast<std::uint32_t>(net::AbortCode::kUnknownSession));
+
+  const std::uint64_t seen = daemon->stats().datagrams_in;
+  stranger.send(net::MsgType::kBye, victim.session_id());
+  for (int i = 0; i < 2000 && daemon->stats().datagrams_in == seen; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_GT(daemon->stats().datagrams_in, seen);
+  EXPECT_EQ(daemon->active_sessions(), 1u);
+  EXPECT_EQ(victim.send_stream(spec).lost_count(), 0u)
+      << "another socket's kBye closed the victim's session";
+  EXPECT_EQ(daemon->active_sessions(), 1u);
+}
+
+// A kStreamEnd for a stream the daemon never saw opens an all-lost record
+// under the same per-session cap as a probe does, so unseen stream ids
+// cannot pile up records; the oldest stream goes first.
+TEST(UdpLoopback, StreamEndForUnseenStreamsKeepsTheStreamCap) {
+  net::DaemonConfig dcfg;
+  dcfg.max_streams_kept = 8;
+  auto daemon = try_daemon(dcfg);
+  REQUIRE_SOCKETS(daemon);
+  RawClient client(daemon->port());
+  client.send(net::MsgType::kHello, 0);
+  net::WireHeader reply;
+  ASSERT_TRUE(client.receive(&reply));
+  ASSERT_EQ(reply.type, static_cast<std::uint8_t>(net::MsgType::kHelloAck));
+  const std::uint64_t session = reply.session_id;
+
+  for (std::uint32_t seq = 0; seq < 5; ++seq)
+    client.send(net::MsgType::kProbe, session, 1, seq, 5);
+  for (std::uint32_t stream = 2; stream < 10; ++stream)
+    client.send(net::MsgType::kStreamEnd, session, stream, 0, 5);
+  client.send(net::MsgType::kStreamEnd, session, 1, 0, 5);
+
+  bool got_report = false;
+  while (!got_report && client.receive(&reply)) {
+    ASSERT_EQ(reply.type, static_cast<std::uint8_t>(net::MsgType::kReport));
+    got_report = reply.stream_id == 1;
+  }
+  ASSERT_TRUE(got_report) << "no report for stream 1";
+  EXPECT_EQ(reply.aux, 0u)
+      << "stream 1 outlived 8 newer streams; its report carried records";
 }
