@@ -369,7 +369,7 @@ TEST(FluidModel, EquationSixQueueGrowth) {
   std::size_t backlog_after = 0;
   simu.at(simu.now() + kMillisecond + spec.packets.back().offset,
           [&] { backlog_after = path.link(0).backlog_bytes(); });
-  session.send_stream(spec);
+  session.send_stream(spec, kMillisecond);
 
   // Eq. 6: q grows by L * (Ri - A) / Ri per interarrival, so after N
   // packets: q ~ N * 1500 * (40-25)/40 = N * 562.5 B.

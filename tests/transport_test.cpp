@@ -613,3 +613,28 @@ TEST(UdpLoopback, StreamEndForUnseenStreamsKeepsTheStreamCap) {
   EXPECT_EQ(reply.aux, 0u)
       << "stream 1 outlived 8 newer streams; its report carried records";
 }
+
+// The stream a probe opens is never the one the cap drops, even when its
+// id is lower than every kept stream's.
+TEST(UdpLoopback, ProbeOpeningTheLowestStreamKeepsIt) {
+  net::DaemonConfig dcfg;
+  dcfg.max_streams_kept = 8;
+  auto daemon = try_daemon(dcfg);
+  REQUIRE_SOCKETS(daemon);
+  RawClient client(daemon->port());
+  client.send(net::MsgType::kHello, 0);
+  net::WireHeader reply;
+  ASSERT_TRUE(client.receive(&reply));
+  ASSERT_EQ(reply.type, static_cast<std::uint8_t>(net::MsgType::kHelloAck));
+  const std::uint64_t session = reply.session_id;
+
+  for (std::uint32_t stream = 2; stream < 10; ++stream)
+    client.send(net::MsgType::kProbe, session, stream, 0, 5);
+  client.send(net::MsgType::kProbe, session, 1, 0, 5);
+  client.send(net::MsgType::kStreamEnd, session, 1, 0, 5);
+
+  ASSERT_TRUE(client.receive(&reply));
+  ASSERT_EQ(reply.type, static_cast<std::uint8_t>(net::MsgType::kReport));
+  EXPECT_EQ(reply.stream_id, 1u);
+  EXPECT_EQ(reply.aux, 1u) << "stream 1 lost the probe that opened it";
+}
