@@ -509,7 +509,8 @@ TEST(UdpLoopback, DaemonExportsObsTraceAndMetrics) {
 namespace {
 
 // An ABW1 sender on its own UDP socket, for datagrams no UdpTransport
-// sends: another host's kBye, a flood of kStreamEnd for unseen streams.
+// sends: a kBye from another socket, kStreamEnd for unseen streams,
+// streams opened out of id order.
 class RawClient {
  public:
   explicit RawClient(std::uint16_t daemon_port) {
@@ -545,6 +546,16 @@ class RawClient {
     ssize_t n = ::recv(fd_, buf.data(), buf.size(), 0);
     return n > 0 &&
            net::decode_header(buf.data(), static_cast<std::size_t>(n), h);
+  }
+
+  // Opens a session without limits; its id, or 0 when none was admitted.
+  std::uint64_t hello() {
+    send(net::MsgType::kHello, 0);
+    net::WireHeader ack;
+    if (!receive(&ack) ||
+        ack.type != static_cast<std::uint8_t>(net::MsgType::kHelloAck))
+      return 0;
+    return ack.session_id;
   }
 
  private:
@@ -592,11 +603,8 @@ TEST(UdpLoopback, StreamEndForUnseenStreamsKeepsTheStreamCap) {
   auto daemon = try_daemon(dcfg);
   REQUIRE_SOCKETS(daemon);
   RawClient client(daemon->port());
-  client.send(net::MsgType::kHello, 0);
-  net::WireHeader reply;
-  ASSERT_TRUE(client.receive(&reply));
-  ASSERT_EQ(reply.type, static_cast<std::uint8_t>(net::MsgType::kHelloAck));
-  const std::uint64_t session = reply.session_id;
+  const std::uint64_t session = client.hello();
+  ASSERT_NE(session, 0u);
 
   for (std::uint32_t seq = 0; seq < 5; ++seq)
     client.send(net::MsgType::kProbe, session, 1, seq, 5);
@@ -604,6 +612,7 @@ TEST(UdpLoopback, StreamEndForUnseenStreamsKeepsTheStreamCap) {
     client.send(net::MsgType::kStreamEnd, session, stream, 0, 5);
   client.send(net::MsgType::kStreamEnd, session, 1, 0, 5);
 
+  net::WireHeader reply;
   bool got_report = false;
   while (!got_report && client.receive(&reply)) {
     ASSERT_EQ(reply.type, static_cast<std::uint8_t>(net::MsgType::kReport));
@@ -622,17 +631,15 @@ TEST(UdpLoopback, ProbeOpeningTheLowestStreamKeepsIt) {
   auto daemon = try_daemon(dcfg);
   REQUIRE_SOCKETS(daemon);
   RawClient client(daemon->port());
-  client.send(net::MsgType::kHello, 0);
-  net::WireHeader reply;
-  ASSERT_TRUE(client.receive(&reply));
-  ASSERT_EQ(reply.type, static_cast<std::uint8_t>(net::MsgType::kHelloAck));
-  const std::uint64_t session = reply.session_id;
+  const std::uint64_t session = client.hello();
+  ASSERT_NE(session, 0u);
 
   for (std::uint32_t stream = 2; stream < 10; ++stream)
     client.send(net::MsgType::kProbe, session, stream, 0, 5);
   client.send(net::MsgType::kProbe, session, 1, 0, 5);
   client.send(net::MsgType::kStreamEnd, session, 1, 0, 5);
 
+  net::WireHeader reply;
   ASSERT_TRUE(client.receive(&reply));
   ASSERT_EQ(reply.type, static_cast<std::uint8_t>(net::MsgType::kReport));
   EXPECT_EQ(reply.stream_id, 1u);
